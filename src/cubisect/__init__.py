@@ -19,9 +19,7 @@ from .bisection import (
 )
 from .construct import (
     BisectionCertificate,
-    BlockColoring,
     DiamondReduction,
-    admissible_colorings,
     desired_bisection_csp,
     formula_minimum,
     lift,
@@ -64,7 +62,6 @@ __all__ = [
     "Bisection",
     "BisectionCertificate",
     "Block",
-    "BlockColoring",
     "BlockRecipe",
     "CertificateError",
     "DiamondReduction",
@@ -82,7 +79,6 @@ __all__ = [
     "TooLarge",
     "Unsatisfiable",
     "ValidationReport",
-    "admissible_colorings",
     "bisection_from_json",
     "bisection_to_json",
     "curated_suite",

@@ -133,7 +133,7 @@ def is_desired(
     for u, v, m in g.edge_pairs():
         if b.colors[u] != b.colors[v]:
             continue
-        if not any(g.adjacent(u, w) and g.adjacent(v, w) for w in range(g.n)):
+        if not g.distinct_neighbors(u) & g.distinct_neighbors(v):
             violations.append((MONO_IN_TRIANGLE, (u, v)))
 
     for block in part.blocks:

@@ -3,8 +3,8 @@
 Subcommands: check, partition, bisect, oracle, gen, verify. Graphs are
 read from a file path or stdin ("-") in the edge-list text format. Exit
 codes: 0 success, 1 parse or I/O trouble, 2 precondition failure (graph
-out of class, instance too large, unrealizable recipe), 3 internal
-invariant breach.
+out of class, instance too large, unrealizable recipe), 3 internal error
+(an invariant breach or any other unexpected exception).
 """
 
 from __future__ import annotations
@@ -259,6 +259,14 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _input_of(cfg: RunConfig) -> str:
+    """The input a command ran on, for error reports."""
+    if cfg.recipe is not None:
+        r = cfg.recipe
+        return f"recipe k={r.k} t={r.t} p={r.p} seed={r.seed}"
+    return " ".join(path for path in (cfg.graph_path, cfg.bisection_path) if path)
+
+
 def run(cfg: RunConfig) -> int:
     """Execute one configured command, writing results to stdout or the
     configured output path; returns the process exit code."""
@@ -269,6 +277,7 @@ def run(cfg: RunConfig) -> int:
         return 1
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        print(f"input: {_input_of(cfg)}", file=sys.stderr)
         return 3
     except NotApplicable as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -277,6 +286,12 @@ def run(cfg: RunConfig) -> int:
     except (TooLarge, Unsatisfiable, PartitionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # Any other escape is a bug. Exception, not BaseException, so that
+        # KeyboardInterrupt and SystemExit still propagate.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"input: {_input_of(cfg)}", file=sys.stderr)
+        return 3
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -5,11 +5,12 @@ The minimum monochromatic count is (n - k - 2p) / 3 when the diamond
 count k is even, and one more when k is odd, where p counts doubled
 pairs (a tripled pair contributes one). Even k admits a coloring in
 which every triangle carries exactly one monochromatic edge and every
-monochromatic edge sits in a triangle; such a coloring is found by a
-small exact search over per-block colorings. Odd k is handled by
-removing one diamond, solving the smaller even case, and splicing the
-four removed vertices back at a cost of exactly two monochromatic
-edges.
+monochromatic edge sits in a triangle; one Euler walk over the graph of
+triangle/trumpet blocks and the digon/diamond chains between them builds
+it in linear time. Odd k runs the same walk with one diamond colored to
+carry exactly two monochromatic edges. Diamond removal and splicing
+(``reduce_diamond`` and ``lift``) are the proof device for the odd case
+and are kept for the tests that check it.
 """
 
 from __future__ import annotations
@@ -28,146 +29,165 @@ from .multigraph import Multigraph, format_graph, validate
 from .structure import DIAMOND, DIGON, TRIANGLE, TRUMPET, Block, StructurePartition, find_blocks
 
 
-@dataclass(frozen=True)
-class BlockColoring:
-    """One admissible way to color a block: vertex/color pairs plus the
-    black-minus-white imbalance it contributes."""
+def desired_bisection_csp(
+    g: Multigraph, part: StructurePartition, flip: Block | None = None
+) -> Bisection:
+    """Build a balanced coloring with one monochromatic edge per diamond,
+    triangle and trumpet and every edge between blocks bichromatic, in
+    time linear in the graph's size.
 
-    block_index: int
-    colors: tuple[tuple[int, int], ...]
-    imbalance: int
+    Triangles and trumpets are nodes; each maximal run of digons and
+    diamonds between two node ports is a chain. A digon's ends differ in
+    color and a diamond's ends match, so a chain with an odd diamond
+    count is "equal": its two end ports share a color. A dummy node
+    joined to every node makes all degrees even, and one Euler circuit
+    from the dummy colors every chain in turn. At each pass through a
+    node the departing port takes the opposite color of the arriving
+    one, so no triangle is monochromatic; the departure color therefore
+    flips exactly after each equal chain, so equal chains alternate
+    between all-black and all-white ends. Their count has the parity of
+    k, so for even k the colors balance. Without nodes the graph is one
+    ring of digons and diamonds, colored by propagation.
 
-
-def admissible_colorings(block: Block, index: int) -> list[BlockColoring]:
-    """Enumerate the block colorings compatible with a desired bisection.
-
-    Cross-block edges are simple and lie in no triangle, so they must be
-    bichromatic; that constraint is enforced by the caller via a fixed
-    rule here: every vertex with an edge leaving the block gets a color
-    determined (or half-determined) by the block's internal structure.
-
-    digon: the two vertices take opposite colors (parallel edges may not
-        be monochromatic), imbalance 0.
-    triangle: one vertex one color, two the other; six states, each with
-        imbalance +1 or -1, and the lone majority pair is the triangle's
-        single monochromatic edge.
-    trumpet: the doubled pair takes opposite colors; the apex is free.
-        Whatever the apex color, exactly one of its two triangle edges is
-        monochromatic. Four states, imbalance +1 or -1.
-    diamond: the shared side is the unique admissible monochromatic edge,
-        so its two vertices share one color and the outer two vertices
-        take the other. Two states, imbalance 0.
+    Odd k needs ``flip``, a diamond of ``part`` colored with a, c one
+    color and b, d the other: its ends then differ like a digon's, the
+    count of equal chains becomes even, and that diamond carries two
+    monochromatic edges instead of one. Odd k without ``flip`` (or a
+    ``flip`` with even k) raises ValueError.
     """
-    out: list[BlockColoring] = []
+    if (part.k % 2 == 1) != (flip is not None):
+        raise ValueError("a flipped diamond is needed exactly when the diamond count is odd")
+    blocks = part.blocks
+    block_of = part.vertex_to_block
+    flip_index = -1
+    if flip is not None:
+        flip_index = block_of[flip.vertices[0]]
+        if flip.kind != DIAMOND or blocks[flip_index] != flip:
+            raise ValueError("flip must be a diamond block of the partition")
 
-    def add(assign: dict[int, int]):
-        imb = sum(1 if c == BLACK else -1 for c in assign.values())
-        out.append(BlockColoring(index, tuple(sorted(assign.items())), imb))
+    n = g.n
+    colors = [-1] * n
+    # ext[v]: v's neighbor in another block, -1 for vertices inside one.
+    ext = [-1] * n
+    for u, v, _ in g.edge_pairs():
+        if block_of[u] != block_of[v]:
+            ext[u] = v
+            ext[v] = u
+    is_port = [False] * n
+    nodes = [i for i, blk in enumerate(blocks) if blk.kind in (TRIANGLE, TRUMPET)]
+    for i in nodes:
+        blk = blocks[i]
+        if blk.kind == TRIANGLE:
+            for v in blk.vertices:
+                is_port[v] = True
+        else:
+            w, x, y = blk.vertices
+            is_port[w] = True
+            colors[x] = BLACK
+            colors[y] = WHITE
 
-    if block.kind == DIGON:
-        u, v = block.vertices
-        add({u: BLACK, v: WHITE})
-        add({u: WHITE, v: BLACK})
-    elif block.kind == TRIANGLE:
-        u, v, w = block.vertices
-        for majority in (BLACK, WHITE):
-            minority = 1 - majority
-            add({u: majority, v: majority, w: minority})
-            add({u: majority, v: minority, w: majority})
-            add({u: minority, v: majority, w: majority})
-    elif block.kind == TRUMPET:
-        w, x, y = block.vertices
-        for apex in (BLACK, WHITE):
-            add({w: apex, x: BLACK, y: WHITE})
-            add({w: apex, x: WHITE, y: BLACK})
-    elif block.kind == DIAMOND:
-        a, b, c, d = block.vertices
-        add({b: BLACK, c: BLACK, a: WHITE, d: WHITE})
-        add({b: WHITE, c: WHITE, a: BLACK, d: BLACK})
+    def enter(v: int, c: int) -> tuple[int, int]:
+        """Color the digon or diamond entered at port v with color c;
+        return its other port and that port's color."""
+        i = block_of[v]
+        blk = blocks[i]
+        if blk.kind == DIGON:
+            u, w = blk.vertices
+            out = w if v == u else u
+            colors[v] = c
+            colors[out] = 1 - c
+            return out, 1 - c
+        a, b, cc, d = blk.vertices
+        if i == flip_index:
+            near, far, out = (cc, b, d) if v == a else (b, cc, a)
+            colors[v] = colors[near] = c
+            colors[far] = colors[out] = 1 - c
+            return out, 1 - c
+        out = d if v == a else a
+        colors[v] = colors[out] = c
+        colors[b] = colors[cc] = 1 - c
+        return out, c
+
+    def paint(p: int, c: int) -> int:
+        """Color port p with c and the chain leaving it; return the port
+        where the chain ends, colored as the chain forces."""
+        colors[p] = c
+        v, c = ext[p], 1 - c
+        while not is_port[v]:
+            out, c = enter(v, c)
+            v, c = ext[out], 1 - c
+        colors[v] = c
+        return v
+
+    if not nodes:
+        first = blocks[0]
+        if first.digon_multiplicity == 3:
+            u, v = first.vertices
+            colors[u], colors[v] = BLACK, WHITE
+        else:
+            # Color the first block, then walk the ring back to it.
+            start = first.vertices[0]
+            out, c = enter(start, BLACK)
+            is_port[start] = True
+            if colors[paint(out, c)] != BLACK:
+                raise SearchExhausted(
+                    "ring of digons and diamonds does not close consistently:\n"
+                    + format_graph(g)
+                )
     else:
-        raise ValueError(f"unknown block kind {block.kind!r}")
-    return out
+        # Chains as edges of the node graph, plus one dummy edge per node.
+        dummy = len(blocks)
+        ends: list[tuple[int, int]] = []  # chain id -> (port, port)
+        in_chain = [False] * n
+        for i in nodes:
+            for p in blocks[i].vertices:
+                if is_port[p] and not in_chain[p]:
+                    q = paint(p, BLACK)
+                    in_chain[p] = in_chain[q] = True
+                    ends.append((p, q))
+        edges = [(block_of[p], block_of[q]) for p, q in ends]
+        edges.extend((dummy, i) for i in nodes)
+        adj: list[list[int]] = [[] for _ in range(dummy + 1)]
+        for e, (x, y) in enumerate(edges):
+            adj[x].append(e)
+            adj[y].append(e)
 
-
-def _cross_edges(g: Multigraph, part: StructurePartition) -> list[tuple[int, int]]:
-    """Simple edges joining two different blocks."""
-    out = []
-    for u, v, m in g.edge_pairs():
-        if part.vertex_to_block[u] != part.vertex_to_block[v]:
-            out.append((u, v))
-    return out
-
-
-def desired_bisection_csp(g: Multigraph, part: StructurePartition) -> Bisection:
-    """Exact search for a balanced coloring built from admissible block
-    states with every cross-block edge bichromatic.
-
-    Such a coloring exists whenever the diamond count is even, so running
-    out of search space signals a bug, not an unsatisfiable input. Odd
-    diamond counts are rejected up front; callers handle them by diamond
-    removal.
-    """
-    if part.k % 2 == 1:
-        raise ValueError("direct construction needs an even diamond count")
-
-    states = [admissible_colorings(b, i) for i, b in enumerate(part.blocks)]
-    cross = _cross_edges(g, part)
-
-    # Edges leaving each block, keyed by block index, for propagation.
-    cross_by_block: list[list[tuple[int, int]]] = [[] for _ in part.blocks]
-    for u, v in cross:
-        cross_by_block[part.vertex_to_block[u]].append((u, v))
-        cross_by_block[part.vertex_to_block[v]].append((u, v))
-
-    # Assign the most-constrained blocks first: those with many edges to
-    # other blocks prune earliest. Ties break by index for determinism.
-    order = sorted(
-        range(len(part.blocks)),
-        key=lambda i: (-len(cross_by_block[i]), i),
-    )
-
-    # Blocks with free imbalance (+1/-1) remaining at each suffix of the
-    # order; used to prune branches whose running imbalance cannot return
-    # to zero.
-    slack = [0] * (len(order) + 1)
-    for pos in range(len(order) - 1, -1, -1):
-        i = order[pos]
-        swing = 1 if part.blocks[i].kind in (TRIANGLE, TRUMPET) else 0
-        slack[pos] = slack[pos + 1] + swing
-
-    colors: list[int | None] = [None] * g.n
-
-    def feasible(state: BlockColoring) -> bool:
-        for v, c in state.colors:
-            for a, b in cross_by_block[state.block_index]:
-                other = b if a == v else (a if b == v else None)
-                if other is not None and colors[other] == c:
-                    return False
-        return True
-
-    def search(pos: int, imbalance: int) -> bool:
-        if abs(imbalance) > slack[pos]:
-            return False
-        if pos == len(order):
-            return imbalance == 0
-        for state in states[order[pos]]:
-            if not feasible(state):
+        # Iterative Hierholzer from the dummy. Entries leave the stack in
+        # reverse circuit order, so the circuit read backwards leaves node
+        # x along edge e for each popped (x, e) but the last.
+        used = [False] * len(edges)
+        pos = [0] * (dummy + 1)
+        stack: list[tuple[int, int]] = [(dummy, -1)]
+        circuit: list[tuple[int, int]] = []
+        while stack:
+            x, _ = stack[-1]
+            out_edges = adj[x]
+            j = pos[x]
+            while j < len(out_edges) and used[out_edges[j]]:
+                j += 1
+            pos[x] = j
+            if j == len(out_edges):
+                circuit.append(stack.pop())
                 continue
-            for v, c in state.colors:
-                colors[v] = c
-            if search(pos + 1, imbalance + state.imbalance):
-                return True
-            for v, _ in state.colors:
-                colors[v] = None
-        return False
+            e = out_edges[j]
+            used[e] = True
+            a, b = edges[e]
+            stack.append((b if a == x else a, e))
 
-    if not search(0, 0):
+        departure = BLACK
+        for x, e in circuit:
+            if not 0 <= e < len(ends):
+                continue  # dummy edge or the end: departure color carries over
+            p, q = ends[e]
+            if block_of[p] != x:
+                p = q
+            departure = 1 - colors[paint(p, departure)]
+
+    if -1 in colors or 2 * colors.count(BLACK) != n:
         raise SearchExhausted(
-            "no admissible block coloring found on an even-diamond graph; "
-            "this should be impossible:\n" + format_graph(g)
+            "constructed coloring is unbalanced or incomplete:\n" + format_graph(g)
         )
-    assert all(c is not None for c in colors)
-    return Bisection(tuple(colors))  # type: ignore[arg-type]
+    return Bisection(tuple(colors))
 
 
 @dataclass(frozen=True)
@@ -329,21 +349,8 @@ def min_bisection(g: Multigraph) -> tuple[Bisection, BisectionCertificate]:
         raise NotApplicable(report, "the complete graph on four vertices is excluded")
 
     part = find_blocks(g)
-
-    if part.k % 2 == 0:
-        bis = desired_bisection_csp(g, part)
-    else:
-        red = reduce_diamond(g, _canonical_diamond(part))
-        sub_part = find_blocks(red.reduced)
-        if sub_part.k != part.k - 1:
-            raise ReductionError(
-                f"diamond count went {part.k} -> {sub_part.k}, expected {part.k - 1}"
-            )
-        sub_bis = desired_bisection_csp(red.reduced, sub_part)
-        ok, viol = is_desired(red.reduced, sub_part, sub_bis)
-        if not ok:
-            raise SearchExhausted(f"search returned a non-admissible coloring: {viol}")
-        bis = lift(red, sub_bis)
+    flip = _canonical_diamond(part) if part.k % 2 else None
+    bis = desired_bisection_csp(g, part, flip)
 
     stats = mono_stats(g, bis)
     expected = formula_minimum(g.n, part.k, part.p)

@@ -41,8 +41,8 @@ class InternalInvariantError(RuntimeError):
 
 
 class SearchExhausted(InternalInvariantError):
-    """Block-coloring search found no admissible balanced assignment on an
-    even-diamond-count instance, where one is guaranteed to exist."""
+    """The construction produced no balanced, fully assigned coloring,
+    although one is guaranteed to exist."""
 
 
 class ReductionError(InternalInvariantError):

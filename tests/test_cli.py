@@ -6,7 +6,7 @@ import json
 import pytest
 
 import cubisect.cli as cli
-from cubisect import SearchExhausted, format_graph
+from cubisect import SearchExhausted, format_graph, min_bisection, ring_of_diamonds
 
 
 def write_graph(tmp_path, g, name="g.txt"):
@@ -137,7 +137,7 @@ def test_verify_roundtrip(tmp_path, capsys, fixtures):
     obj = json.loads(out)
     assert obj["is_2bisection"] is True
     assert obj["epsilon"] == 4
-    assert obj["is_desired"] is False  # lifted colorings double up one diamond
+    assert obj["is_desired"] is False  # odd-k colorings double up one diamond
     assert obj["violations"][0][0] == "diamond_one_mono"
 
 
@@ -204,6 +204,33 @@ def test_internal_error_exits_3(tmp_path, capsys, monkeypatch, fixtures):
     code, _, err = run_cli(capsys, ["bisect", gpath])
     assert code == 3
     assert "internal error" in err
+
+
+def test_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch, fixtures):
+    def boom(_):
+        raise RuntimeError("forced for the test")
+
+    monkeypatch.setattr(cli, "min_bisection", boom)
+    gpath = write_graph(tmp_path, fixtures["prism"])
+    code, out, err = run_cli(capsys, ["bisect", gpath])
+    assert code == 3
+    assert out == ""
+    assert "internal error: RuntimeError: forced for the test" in err
+    assert gpath in err
+
+
+def test_verify_large_ring_is_desired(tmp_path, capsys):
+    g = ring_of_diamonds(1250)
+    bis, _ = min_bisection(g)
+    gpath = write_graph(tmp_path, g)
+    bpath = tmp_path / "b.json"
+    bpath.write_text(json.dumps({"black": bis.black(), "white": bis.white()}))
+    code, out, _ = run_cli(capsys, ["verify", gpath, str(bpath), "--format", "json"])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["is_2bisection"] is True
+    assert obj["is_desired"] is True
+    assert obj["epsilon"] == 1250
 
 
 def test_json_output_stable(tmp_path, capsys, fixtures):

@@ -4,14 +4,15 @@ import pytest
 
 from cubisect import (
     Bisection,
+    BlockRecipe,
     LiftError,
     Multigraph,
     NotApplicable,
     ReductionError,
-    admissible_colorings,
     desired_bisection_csp,
     find_blocks,
     formula_minimum,
+    generate,
     is_2bisection,
     is_desired,
     lift,
@@ -41,31 +42,6 @@ SPREAD12 = Multigraph(
 )
 
 
-def test_admissible_state_counts():
-    per_kind = {}
-    for g in (SPREAD12, ABSORB10):
-        for i, block in enumerate(find_blocks(g).blocks):
-            per_kind[block.kind] = admissible_colorings(block, i)
-    assert len(per_kind["digon"]) == 2
-    assert len(per_kind["triangle"]) == 6
-    assert len(per_kind["trumpet"]) == 4
-    assert len(per_kind["diamond"]) == 2
-    assert {s.imbalance for s in per_kind["digon"]} == {0}
-    assert {s.imbalance for s in per_kind["diamond"]} == {0}
-    assert sorted(s.imbalance for s in per_kind["triangle"]) == [-1] * 3 + [1] * 3
-    assert sorted(s.imbalance for s in per_kind["trumpet"]) == [-1, -1, 1, 1]
-
-
-def test_diamond_states_pin_the_shared_side():
-    block = find_blocks(SPREAD12).diamond_blocks[0]
-    assert block.kind == "diamond"
-    a, b, c, d = block.vertices
-    for state in admissible_colorings(block, 0):
-        colors = dict(state.colors)
-        assert colors[b] == colors[c]
-        assert colors[a] == colors[d] == 1 - colors[b]
-
-
 def test_csp_finds_desired_bisection_even_k(corpus):
     for (k, t, p, _), g in corpus:
         if k % 2:
@@ -81,6 +57,57 @@ def test_csp_rejects_odd_k(fixtures):
     g = fixtures["diamond_digon"]
     with pytest.raises(ValueError):
         desired_bisection_csp(g, find_blocks(g))
+
+
+def test_csp_flip_only_for_odd_k(fixtures):
+    g = fixtures["ring2"]
+    part = find_blocks(g)
+    with pytest.raises(ValueError):
+        desired_bisection_csp(g, part, part.diamond_blocks[0])
+    g = fixtures["diamond_digon"]
+    part = find_blocks(g)
+    digon = next(b for b in part.blocks if b.kind == "digon")
+    with pytest.raises(ValueError):
+        desired_bisection_csp(g, part, digon)
+
+
+def test_odd_k_doubles_only_the_canonical_diamond(odd_k_corpus, fixtures):
+    cases = [*odd_k_corpus, ("ring3", fixtures["ring3"]), ("big40", fixtures["big40"])]
+    for key, g in cases:
+        part = find_blocks(g)
+        bis, _ = min_bisection(g)
+        canonical = min(part.diamond_blocks, key=lambda blk: blk.vertices)
+        mono = [0] * len(part.blocks)
+        for u, v, m in g.edge_pairs():
+            if bis.colors[u] == bis.colors[v]:
+                assert part.vertex_to_block[u] == part.vertex_to_block[v], key
+                mono[part.vertex_to_block[u]] += m
+        for block, count in zip(part.blocks, mono):
+            want = 0 if block.kind == "digon" else 2 if block == canonical else 1
+            assert count == want, (key, block)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: generate(BlockRecipe(1000, 1666, 750, seed=1)), id="n10498-even-k"),
+        pytest.param(lambda: generate(BlockRecipe(1001, 1664, 750, seed=1)), id="n10496-odd-k"),
+        pytest.param(lambda: ring_of_diamonds(2000), id="ring-2000"),
+        pytest.param(lambda: ring_of_diamonds(2001), id="ring-2001"),
+        pytest.param(lambda: generate(BlockRecipe(0, 0, 2000)), id="digons-2000"),
+        # instances on which an earlier backtracking search ran for minutes
+        pytest.param(lambda: generate(BlockRecipe(8, 20, 8, seed=0)), id="8-20-8"),
+        pytest.param(lambda: generate(BlockRecipe(0, 0, 500, seed=0)), id="0-0-500"),
+        pytest.param(lambda: generate(BlockRecipe(200, 0, 0, seed=0)), id="200-0-0"),
+    ],
+)
+def test_min_bisection_at_scale(make):
+    g = make()
+    part = find_blocks(g)
+    _, cert = min_bisection(g)
+    assert cert.epsilon == formula_minimum(g.n, part.k, part.p) == part.k + part.t + part.k % 2
+    assert cert.is_valid_2bisection
+    assert cert.is_desired == (part.k % 2 == 0)
 
 
 def test_reduce_into_triple_edge(fixtures):
