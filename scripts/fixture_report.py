@@ -19,8 +19,7 @@ from cubisect import (
 def main() -> int:
     print(f"{'name':14} {'n':>3} {'class':>5} {'k':>2} {'t':>2} {'p':>2} {'eps':>4} {'oracle':>7}")
     for name, g in curated_suite():
-        rep = validate(g)
-        in_class = rep.is_cubic and rep.is_connected and rep.is_claw_free and not rep.is_k4
+        in_class = validate(g).in_class
         if in_class:
             part = find_blocks(g)
             ktp = (str(part.k), str(part.t), str(part.p))

@@ -184,7 +184,8 @@ def bisection_from_json(obj: dict, n: int) -> Bisection:
     black, white = obj["black"], obj["white"]
     if not (isinstance(black, list) and isinstance(white, list)):
         raise GraphFormatError("'black' and 'white' must be lists of vertices")
-    if any(not isinstance(v, int) for v in black + white):
+    # Exact type test: JSON true/false load as bool, a subclass of int.
+    if any(type(v) is not int for v in black + white):
         raise GraphFormatError("vertex labels must be integers")
     if set(black) & set(white):
         raise ValueError("a vertex appears in both color classes")

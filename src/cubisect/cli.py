@@ -2,9 +2,11 @@
 
 Subcommands: check, partition, bisect, oracle, gen, verify. Graphs are
 read from a file path or stdin ("-") in the edge-list text format. Exit
-codes: 0 success, 1 parse or I/O trouble, 2 precondition failure (graph
-out of class, instance too large, unrealizable recipe), 3 internal error
-(an invariant breach or any other unexpected exception).
+codes: 0 success, 1 parse or I/O trouble (including a failed --output
+write), 2 precondition failure (graph out of class, instance too large,
+unrealizable recipe), 3 internal error (an invariant breach or any other
+unexpected exception, reported as "internal error: <type>: <message>"
+with the input it ran on).
 """
 
 from __future__ import annotations
@@ -12,35 +14,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .bisection import BLACK, bisection_from_json, bisection_to_json, is_2bisection, is_desired, mono_stats
 from .construct import min_bisection
-from .errors import (
-    GraphFormatError,
-    InternalInvariantError,
-    NotApplicable,
-    PartitionError,
-    TooLarge,
-    Unsatisfiable,
-)
+from .errors import GraphFormatError, NotApplicable, PartitionError, TooLarge, Unsatisfiable
 from .generator import BlockRecipe, generate
 from .multigraph import Multigraph, format_graph, parse_graph, validate
 from .oracle import DEFAULT_LIMIT, HARD_CAP, oracle_min
 from .structure import find_blocks
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation, fully determined (no hidden entropy)."""
-
-    command: str
-    graph_path: str | None = None
-    bisection_path: str | None = None
-    recipe: BlockRecipe | None = None
-    fmt: str = "json"
-    oracle_limit: int = DEFAULT_LIMIT
-    output: str | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,19 +66,10 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _in_class(report) -> bool:
-    return (
-        report.is_cubic
-        and report.is_connected
-        and report.is_claw_free
-        and not report.is_k4
-    )
-
-
-def _cmd_check(cfg: RunConfig) -> tuple[int, str]:
-    g = _load_graph(cfg.graph_path)
+def _cmd_check(args: argparse.Namespace) -> tuple[int, str]:
+    g = _load_graph(args.graph)
     report = validate(g)
-    if cfg.fmt == "json":
+    if args.format == "json":
         text = _json_text(report.to_json())
     else:
         lines = [
@@ -108,39 +80,39 @@ def _cmd_check(cfg: RunConfig) -> tuple[int, str]:
         ]
         if report.claw_witness is not None:
             lines.append("claw witness: " + " ".join(map(str, report.claw_witness)))
-        lines.append(f"in-class: {_yesno(_in_class(report))}")
+        lines.append(f"in-class: {_yesno(report.in_class)}")
         text = "\n".join(lines) + "\n"
-    return (0 if _in_class(report) else 2), text
+    return (0 if report.in_class else 2), text
 
 
-def _cmd_partition(cfg: RunConfig) -> tuple[int, str]:
-    g = _load_graph(cfg.graph_path)
+def _cmd_partition(args: argparse.Namespace) -> tuple[int, str]:
+    g = _load_graph(args.graph)
     return 0, _json_text(find_blocks(g).to_json())
 
 
-def _cmd_bisect(cfg: RunConfig) -> tuple[int, str]:
-    g = _load_graph(cfg.graph_path)
+def _cmd_bisect(args: argparse.Namespace) -> tuple[int, str]:
+    g = _load_graph(args.graph)
     bis, cert = min_bisection(g)
-    if cfg.fmt == "dot":
+    if args.format == "dot":
         return 0, _dot_graph(g, bis.colors)
     payload = {"bisection": bisection_to_json(g, bis), "certificate": cert.to_json()}
     return 0, _json_text(payload)
 
 
-def _cmd_oracle(cfg: RunConfig) -> tuple[int, str]:
-    g = _load_graph(cfg.graph_path)
-    return 0, _json_text(oracle_min(g, limit=cfg.oracle_limit).to_json())
+def _cmd_oracle(args: argparse.Namespace) -> tuple[int, str]:
+    g = _load_graph(args.graph)
+    return 0, _json_text(oracle_min(g, limit=args.oracle_limit).to_json())
 
 
-def _cmd_gen(cfg: RunConfig) -> tuple[int, str]:
-    g = generate(cfg.recipe)
-    return 0, _dot_graph(g) if cfg.fmt == "dot" else format_graph(g)
+def _cmd_gen(args: argparse.Namespace) -> tuple[int, str]:
+    g = generate(BlockRecipe(k=args.k, t=args.t, p=args.p, seed=args.seed))
+    return 0, _dot_graph(g) if args.format == "dot" else format_graph(g)
 
 
-def _cmd_verify(cfg: RunConfig) -> tuple[int, str]:
-    g = _load_graph(cfg.graph_path)
+def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
+    g = _load_graph(args.graph)
     try:
-        obj = json.loads(_read_text(cfg.bisection_path))
+        obj = json.loads(_read_text(args.bisection))
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"bad bisection JSON: {exc}") from exc
     b = bisection_from_json(obj, g.n)
@@ -148,10 +120,10 @@ def _cmd_verify(cfg: RunConfig) -> tuple[int, str]:
     two = is_2bisection(g, b)
     desired: bool | None = None
     violations: list = []
-    if _in_class(validate(g)):
+    if validate(g).in_class:
         desired, raw = is_desired(g, find_blocks(g), b)
         violations = [[name, list(verts)] for name, verts in raw]
-    if cfg.fmt == "json":
+    if args.format == "json":
         text = _json_text(
             {
                 "is_2bisection": two,
@@ -177,16 +149,6 @@ def _cmd_verify(cfg: RunConfig) -> tuple[int, str]:
     return 0, text
 
 
-_HANDLERS = {
-    "check": _cmd_check,
-    "partition": _cmd_partition,
-    "bisect": _cmd_bisect,
-    "oracle": _cmd_oracle,
-    "gen": _cmd_gen,
-    "verify": _cmd_verify,
-}
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cubisect", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -198,23 +160,25 @@ def _build_parser() -> _Parser:
         p.add_argument("--output", help="write the result here instead of stdout")
 
     p = sub.add_parser("check", help="validate a graph against the covered class")
+    p.set_defaults(handler=_cmd_check)
     graph_arg(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
     output_arg(p)
 
     p = sub.add_parser("partition", help="print the block cover as JSON")
+    p.set_defaults(handler=_cmd_partition)
     graph_arg(p)
-    p.add_argument("--format", choices=("json",), default="json")
     output_arg(p)
 
     p = sub.add_parser("bisect", help="construct a minimum 2-bisection")
+    p.set_defaults(handler=_cmd_bisect)
     graph_arg(p)
     p.add_argument("--format", choices=("json", "dot"), default="json")
     output_arg(p)
 
     p = sub.add_parser("oracle", help="exhaustive minimum for small graphs")
+    p.set_defaults(handler=_cmd_oracle)
     graph_arg(p)
-    p.add_argument("--format", choices=("json",), default="json")
     p.add_argument(
         "--oracle-limit",
         type=int,
@@ -225,6 +189,7 @@ def _build_parser() -> _Parser:
     output_arg(p)
 
     p = sub.add_parser("gen", help="generate an instance from block counts")
+    p.set_defaults(handler=_cmd_gen)
     p.add_argument("k", type=int, help="diamonds")
     p.add_argument("t", type=int, help="triangles (trumpets form during wiring)")
     p.add_argument("p", type=int, help="doubled pairs")
@@ -233,6 +198,7 @@ def _build_parser() -> _Parser:
     output_arg(p)
 
     p = sub.add_parser("verify", help="check a bisection JSON against a graph")
+    p.set_defaults(handler=_cmd_verify)
     graph_arg(p)
     p.add_argument("bisection", help="bisection JSON file, or - for stdin")
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -241,44 +207,26 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.command == "gen":
-        return RunConfig(
-            command="gen",
-            recipe=BlockRecipe(k=args.k, t=args.t, p=args.p, seed=args.seed),
-            fmt=args.format,
-            output=args.output,
-        )
-    return RunConfig(
-        command=args.command,
-        graph_path=args.graph,
-        bisection_path=getattr(args, "bisection", None),
-        fmt=args.format,
-        oracle_limit=getattr(args, "oracle_limit", DEFAULT_LIMIT),
-        output=args.output,
-    )
-
-
-def _input_of(cfg: RunConfig) -> str:
+def _input_of(args: argparse.Namespace) -> str:
     """The input a command ran on, for error reports."""
-    if cfg.recipe is not None:
-        r = cfg.recipe
-        return f"recipe k={r.k} t={r.t} p={r.p} seed={r.seed}"
-    return " ".join(path for path in (cfg.graph_path, cfg.bisection_path) if path)
+    if args.command == "gen":
+        return f"recipe k={args.k} t={args.t} p={args.p} seed={args.seed}"
+    return " ".join(path for path in (args.graph, getattr(args, "bisection", None)) if path)
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute one configured command, writing results to stdout or the
-    configured output path; returns the process exit code."""
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command, writing its result to stdout or the
+    --output path; returns the process exit code."""
     try:
-        code, text = _HANDLERS[cfg.command](cfg)
+        code, text = args.handler(args)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (GraphFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except InternalInvariantError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        print(f"input: {_input_of(cfg)}", file=sys.stderr)
-        return 3
     except NotApplicable as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(_json_text(exc.report.to_json()), end="", file=sys.stderr)
@@ -287,22 +235,17 @@ def run(cfg: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        # Any other escape is a bug. Exception, not BaseException, so that
-        # KeyboardInterrupt and SystemExit still propagate.
+        # Any other escape is a bug, internal invariant breaches included.
+        # Exception, not BaseException, so that KeyboardInterrupt and
+        # SystemExit still propagate.
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        print(f"input: {_input_of(cfg)}", file=sys.stderr)
+        print(f"input: {_input_of(args)}", file=sys.stderr)
         return 3
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    return run(_config_from_args(args))
+    return run(_build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -247,13 +247,13 @@ def reduce_diamond(g: Multigraph, diamond: Block) -> DiamondReduction:
     reduced = Multigraph(g.n - 4, edges)
 
     report = validate(reduced)
-    if report.is_k4:
+    if not report.in_class:
         raise ReductionError(
             "removing this diamond leaves the complete graph on four "
             "vertices, which has no further decomposition"
+            if report.is_k4
+            else "reduction broke a graph invariant"
         )
-    if not (report.is_cubic and report.is_connected and report.is_claw_free):
-        raise ReductionError("reduction broke a graph invariant")
     return DiamondReduction(
         removed=(a, b, c, d),
         x=x,
@@ -343,10 +343,13 @@ def min_bisection(g: Multigraph) -> tuple[Bisection, BisectionCertificate]:
     four vertices (whose best 2-bisection exceeds the formula).
     """
     report = validate(g)
-    if not (report.is_cubic and report.is_connected and report.is_claw_free):
-        raise NotApplicable(report, "graph is not a connected claw-free cubic multigraph")
-    if report.is_k4:
-        raise NotApplicable(report, "the complete graph on four vertices is excluded")
+    if not report.in_class:
+        raise NotApplicable(
+            report,
+            "the complete graph on four vertices is excluded"
+            if report.is_k4
+            else "graph is not a connected claw-free cubic multigraph",
+        )
 
     part = find_blocks(g)
     flip = _canonical_diamond(part) if part.k % 2 else None

@@ -94,8 +94,7 @@ def generate(recipe: BlockRecipe) -> Multigraph:
         if not ok:
             continue
         g = Multigraph(recipe.n, base_edges + cross)
-        report = validate(g)
-        if report.is_cubic and report.is_connected and report.is_claw_free and not report.is_k4:
+        if validate(g).in_class:
             return g
 
     raise Unsatisfiable(

@@ -125,6 +125,12 @@ class ValidationReport:
     is_k4: bool
     claw_witness: tuple[int, int, int, int] | None = None
 
+    @property
+    def in_class(self) -> bool:
+        """Inside the class the results cover: cubic, connected,
+        claw-free, and not the complete graph on four vertices."""
+        return self.is_cubic and self.is_connected and self.is_claw_free and not self.is_k4
+
     def to_json(self) -> dict:
         return {
             "is_cubic": self.is_cubic,

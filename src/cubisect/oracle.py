@@ -47,10 +47,7 @@ class OracleResult:
 
 
 def _structure_or_none(g: Multigraph) -> StructurePartition | None:
-    report = validate(g)
-    if report.is_cubic and report.is_connected and report.is_claw_free and not report.is_k4:
-        return find_blocks(g)
-    return None
+    return find_blocks(g) if validate(g).in_class else None
 
 
 def oracle_min(g: Multigraph, limit: int = DEFAULT_LIMIT) -> OracleResult:

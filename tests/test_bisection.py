@@ -147,6 +147,7 @@ def test_json_roundtrip():
         ({"black": [0, 1], "white": [1, 2]}, ValueError),
         ({"black": [0, 1], "white": [2]}, ValueError),
         ({"black": [0, 1], "white": [2, 4]}, ValueError),
+        ({"black": [True], "white": [False]}, GraphFormatError),
     ],
 )
 def test_json_rejects(obj, exc):

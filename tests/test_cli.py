@@ -153,12 +153,14 @@ def test_verify_text_flags_bad_coloring(tmp_path, capsys, fixtures):
 
 
 def test_verify_bad_json_exits_1(tmp_path, capsys, fixtures):
-    gpath = write_graph(tmp_path, fixtures["prism"])
-    bpath = tmp_path / "broken.json"
-    bpath.write_text("{not json")
-    code, _, err = run_cli(capsys, ["verify", gpath, str(bpath)])
-    assert code == 1
-    assert "error:" in err
+    for name, bad in (("prism", "{not json"), ("triple_edge", '{"black": [true], "white": [false]}')):
+        gpath = write_graph(tmp_path, fixtures[name])
+        bpath = tmp_path / "broken.json"
+        bpath.write_text(bad)
+        code, out, err = run_cli(capsys, ["verify", gpath, str(bpath)])
+        assert code == 1
+        assert out == ""
+        assert "error:" in err
 
 
 def test_stdin_input(capsys, monkeypatch, fixtures):
@@ -176,6 +178,16 @@ def test_output_flag(tmp_path, capsys, fixtures):
     assert json.loads(target.read_text())["min_epsilon"] == 2
 
 
+def test_unwritable_output_exits_1(tmp_path, capsys, fixtures):
+    gpath = write_graph(tmp_path, fixtures["prism"])
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run_cli(capsys, ["bisect", gpath, "--output", str(target)])
+    assert code == 1
+    assert out == ""
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 def test_parse_error_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("bogus\n")
@@ -189,10 +201,13 @@ def test_missing_file_exits_1(capsys):
     assert code == 1
 
 
-def test_usage_error_exits_1(capsys):
-    with pytest.raises(SystemExit) as info:
-        cli.main(["frobnicate"])
-    assert info.value.code == 1
+def test_usage_error_exits_1(tmp_path, capsys, fixtures):
+    gpath = write_graph(tmp_path, fixtures["prism"])
+    # partition and oracle print JSON only, so they take no --format
+    for argv in (["frobnicate"], ["partition", gpath, "--format", "json"], ["oracle", gpath, "--format", "json"]):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 1
 
 
 def test_internal_error_exits_3(tmp_path, capsys, monkeypatch, fixtures):
@@ -203,7 +218,8 @@ def test_internal_error_exits_3(tmp_path, capsys, monkeypatch, fixtures):
     gpath = write_graph(tmp_path, fixtures["prism"])
     code, _, err = run_cli(capsys, ["bisect", gpath])
     assert code == 3
-    assert "internal error" in err
+    assert "internal error: SearchExhausted: forced for the test" in err
+    assert f"input: {gpath}" in err
 
 
 def test_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch, fixtures):
@@ -217,6 +233,18 @@ def test_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch, fixtures):
     assert out == ""
     assert "internal error: RuntimeError: forced for the test" in err
     assert gpath in err
+
+
+def test_gen_internal_error_reports_recipe(capsys, monkeypatch):
+    def boom(_):
+        raise RuntimeError("forced for the test")
+
+    monkeypatch.setattr(cli, "generate", boom)
+    code, out, err = run_cli(capsys, ["gen", "2", "2", "1", "--seed", "5"])
+    assert code == 3
+    assert out == ""
+    assert "internal error: RuntimeError: forced for the test" in err
+    assert "input: recipe k=2 t=2 p=1 seed=5" in err
 
 
 def test_verify_large_ring_is_desired(tmp_path, capsys):

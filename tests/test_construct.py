@@ -220,6 +220,22 @@ def test_min_bisection_rejects_disconnected():
     assert not info.value.report.is_connected
 
 
+def test_min_bisection_rejects_exactly_out_of_class(fixtures):
+    graphs = list(fixtures.values()) + [
+        Multigraph(4, [(0, 1)] * 3 + [(2, 3)] * 3),
+        Multigraph(4, [(0, 1), (0, 2), (0, 3)]),
+    ]
+    for g in graphs:
+        report = validate(g)
+        if report.in_class:
+            min_bisection(g)
+            continue
+        with pytest.raises(NotApplicable) as info:
+            min_bisection(g)
+        assert info.value.report == report
+        assert ("four vertices" in str(info.value)) == report.is_k4
+
+
 def test_certificate_json(fixtures):
     _, cert = min_bisection(fixtures["diamond_digon"])
     assert cert.to_json() == {

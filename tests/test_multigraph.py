@@ -82,6 +82,21 @@ def test_validate_disconnected():
     assert rep.is_cubic and not rep.is_connected
 
 
+def test_in_class_is_the_four_field_conjunction(fixtures):
+    graphs = list(fixtures.values()) + [
+        Multigraph(4, [(0, 1)] * 3 + [(2, 3)] * 3),  # two triple edges
+        Multigraph(4, [(0, 1), (0, 2), (0, 3)]),  # a star, not cubic
+    ]
+    seen = set()
+    for g in graphs:
+        rep = validate(g)
+        expected = rep.is_cubic and rep.is_connected and rep.is_claw_free and not rep.is_k4
+        assert rep.in_class == expected
+        assert "in_class" not in rep.to_json()
+        seen.add(expected)
+    assert seen == {True, False}
+
+
 def test_triangle_listing():
     g = Multigraph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5)])
     assert triangles(g) == [(0, 1, 2), (3, 4, 5)]
