@@ -79,13 +79,15 @@ def mono_stats(g: Multigraph, b: Bisection) -> MonoStats:
     """Count monochromatic edges; a doubled same-colored edge counts twice."""
     if b.n != g.n:
         raise ValueError(f"coloring covers {b.n} vertices, graph has {g.n}")
-    eb = ew = 0
-    for u, v, m in g.edge_pairs():
-        if b.colors[u] == b.colors[v]:
-            if b.colors[u] == BLACK:
-                eb += m
-            else:
-                ew += m
+    colors = b.colors
+    # Each monochromatic edge is seen from both of its ends.
+    same = [0, 0]
+    for u, near in enumerate(map(g.neighbors, range(g.n))):
+        c = colors[u]
+        for v in near:
+            if colors[v] == c:
+                same[c] += 1
+    eb, ew = same[BLACK] // 2, same[WHITE] // 2
     return MonoStats(epsilon=eb + ew, epsilon_black=eb, epsilon_white=ew)
 
 
@@ -98,10 +100,15 @@ def is_2bisection(g: Multigraph, b: Bisection) -> bool:
     """
     if b.n != g.n:
         raise ValueError(f"coloring covers {b.n} vertices, graph has {g.n}")
-    for v in range(g.n):
-        same = sum(1 for u in g.distinct_neighbors(v) if b.colors[u] == b.colors[v])
-        if same > 1:
-            return False
+    colors = b.colors
+    for v, near in enumerate(map(g.neighbors, range(g.n))):
+        c = colors[v]
+        mate = -1
+        for u in near:
+            if colors[u] == c:
+                if mate >= 0 and u != mate:
+                    return False
+                mate = u
     return True
 
 
@@ -121,20 +128,31 @@ def is_desired(
     """
     if b.n != g.n:
         raise ValueError(f"coloring covers {b.n} vertices, graph has {g.n}")
+    nbrs = g.neighbors
+    colors = b.colors
     violations: list[Violation] = []
 
     def mono(u: int, v: int) -> int:
-        return g.multiplicity(u, v) if b.colors[u] == b.colors[v] else 0
+        return nbrs(u).count(v) if colors[u] == colors[v] else 0
 
     for u, v, w in triangles(g):
         if mono(u, v) + mono(u, w) + mono(v, w) != 1:
             violations.append((TRIANGLE_ONE_MONO, (u, v, w)))
 
-    for u, v, m in g.edge_pairs():
-        if b.colors[u] != b.colors[v]:
-            continue
-        if not g.distinct_neighbors(u) & g.distinct_neighbors(v):
-            violations.append((MONO_IN_TRIANGLE, (u, v)))
+    # One pass over the monochromatic pairs u < v, in edge order, for the
+    # second and the fourth condition.
+    outside: list[Violation] = []
+    parallel: list[Violation] = []
+    for u in range(g.n):
+        c = colors[u]
+        near_u = nbrs(u)
+        same = [v for v in near_u if v > u and colors[v] == c]
+        for v in dict.fromkeys(same):
+            if set(near_u).isdisjoint(nbrs(v)):
+                outside.append((MONO_IN_TRIANGLE, (u, v)))
+            if same.count(v) >= 2:
+                parallel.append((MULTI_EDGE_NOT_MONO, (u, v)))
+    violations += outside
 
     for block in part.blocks:
         if block.kind != DIAMOND:
@@ -146,10 +164,7 @@ def is_desired(
         if count != 1:
             violations.append((DIAMOND_ONE_MONO, block.vertices))
 
-    for u, v, m in g.edge_pairs():
-        if m >= 2 and b.colors[u] == b.colors[v]:
-            violations.append((MULTI_EDGE_NOT_MONO, (u, v)))
-
+    violations += parallel
     return (not violations, violations)
 
 

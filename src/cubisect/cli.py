@@ -16,7 +16,7 @@ import json
 import sys
 
 from .bisection import BLACK, bisection_from_json, bisection_to_json, is_2bisection, is_desired, mono_stats
-from .construct import min_bisection
+from .construct import min_bisection, require_in_class
 from .errors import GraphFormatError, NotApplicable, PartitionError, TooLarge, Unsatisfiable
 from .generator import BlockRecipe, generate
 from .multigraph import Multigraph, format_graph, parse_graph, validate
@@ -87,6 +87,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[int, str]:
 
 def _cmd_partition(args: argparse.Namespace) -> tuple[int, str]:
     g = _load_graph(args.graph)
+    require_in_class(g)
     return 0, _json_text(find_blocks(g).to_json())
 
 

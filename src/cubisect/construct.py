@@ -69,10 +69,11 @@ def desired_bisection_csp(
     colors = [-1] * n
     # ext[v]: v's neighbor in another block, -1 for vertices inside one.
     ext = [-1] * n
-    for u, v, _ in g.edge_pairs():
-        if block_of[u] != block_of[v]:
-            ext[u] = v
-            ext[v] = u
+    for u, near in enumerate(map(g.neighbors, range(n))):
+        bu = block_of[u]
+        for v in near:
+            if block_of[v] != bu:
+                ext[u] = v
     is_port = [False] * n
     nodes = [i for i, blk in enumerate(blocks) if blk.kind in (TRIANGLE, TRUMPET)]
     for i in nodes:
@@ -334,14 +335,9 @@ def _canonical_diamond(part: StructurePartition) -> Block:
     return min(part.diamond_blocks, key=lambda blk: blk.vertices)
 
 
-def min_bisection(g: Multigraph) -> tuple[Bisection, BisectionCertificate]:
-    """Compute a 2-bisection with the minimum monochromatic count,
-    together with a self-checked certificate.
-
-    Raises NotApplicable when the graph falls outside the covered class:
-    not cubic, not connected, not claw-free, or the complete graph on
-    four vertices (whose best 2-bisection exceeds the formula).
-    """
+def require_in_class(g: Multigraph) -> None:
+    """Raise NotApplicable unless g is a connected claw-free cubic
+    multigraph other than the complete graph on four vertices."""
     report = validate(g)
     if not report.in_class:
         raise NotApplicable(
@@ -351,6 +347,16 @@ def min_bisection(g: Multigraph) -> tuple[Bisection, BisectionCertificate]:
             else "graph is not a connected claw-free cubic multigraph",
         )
 
+
+def min_bisection(g: Multigraph) -> tuple[Bisection, BisectionCertificate]:
+    """Compute a 2-bisection with the minimum monochromatic count,
+    together with a self-checked certificate.
+
+    Raises NotApplicable when the graph falls outside the covered class:
+    not cubic, not connected, not claw-free, or the complete graph on
+    four vertices (whose best 2-bisection exceeds the formula).
+    """
+    require_in_class(g)
     part = find_blocks(g)
     flip = _canonical_diamond(part) if part.k % 2 else None
     bis = desired_bisection_csp(g, part, flip)

@@ -1,15 +1,21 @@
 """Loop-free multigraph representation, validation, and text I/O.
 
-Vertices are labeled 0..n-1. Parallel edges are stored as a multiplicity
-per unordered vertex pair; loops are rejected, and multiplicity is capped
-at 3 (more is impossible in a loop-free cubic multigraph, the only family
-this package targets).
+Vertices are labeled 0..n-1. The graph is stored in one flat layout
+(compressed sparse row): ``_nbr`` holds the neighbors of vertex 0, then
+those of vertex 1, and so on, each vertex's run sorted and a neighbor
+repeated once per parallel edge; v's run is ``_nbr[_start[v]:_start[v + 1]]``
+and ``_start[n]`` is twice the edge count. Loops are rejected, and
+multiplicity is capped at 3 (more is impossible in a loop-free cubic
+multigraph, the only family this package targets).
 """
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, chain, combinations, compress, islice, repeat
+from operator import eq, gt, lt
 
 from .errors import GraphFormatError
 
@@ -24,44 +30,80 @@ class Multigraph:
     share between threads.
     """
 
-    __slots__ = ("n", "_mult", "_adj", "_deg")
+    __slots__ = ("n", "_start", "_nbr")
 
     def __init__(self, n: int, edges):
+        pairs = list(edges)
+        if not set(map(len, pairs)) <= {2}:
+            raise ValueError("every edge needs exactly two endpoints")
+        self._fill(n, list(chain.from_iterable(pairs)))
+
+    @classmethod
+    def _from_ends(cls, n: int, ends: list[int]) -> "Multigraph":
+        """The graph with edges (ends[0], ends[1]), (ends[2], ends[3]), ..."""
+        g = cls.__new__(cls)
+        g._fill(n, ends)
+        return g
+
+    def _fill(self, n: int, ends: list[int]) -> None:
         if n < 1:
             raise ValueError(f"vertex count must be positive, got {n}")
-        mult: dict[tuple[int, int], int] = {}
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"loop at vertex {u} not allowed")
-            pair = (u, v) if u < v else (v, u)
-            mult[pair] = mult.get(pair, 0) + 1
-            if mult[pair] > MAX_MULTIPLICITY:
-                raise ValueError(f"edge {pair} has multiplicity > {MAX_MULTIPLICITY}")
-        adj: list[set[int]] = [set() for _ in range(n)]
+        us, vs = ends[0::2], ends[1::2]
+        if ends and (min(ends) < 0 or max(ends) >= n) or any(map(eq, us, vs)):
+            for u, v in zip(us, vs):
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+                if u == v:
+                    raise ValueError(f"loop at vertex {u} not allowed")
         deg = [0] * n
-        for (u, v), m in mult.items():
-            adj[u].add(v)
-            adj[v].add(u)
-            deg[u] += m
-            deg[v] += m
+        for x in ends:
+            deg[x] += 1
+        start = [0]
+        start += accumulate(deg)
+        pos = start[:-1]
+        nbr = [0] * len(ends)
+        for u, v in zip(us, vs):
+            i = pos[u]
+            nbr[i] = v
+            pos[u] = i + 1
+            i = pos[v]
+            nbr[i] = u
+            pos[v] = i + 1
+        # Runs come out sorted when the edges arrive sorted, as format_graph
+        # writes them; sort the runs that hold a descent anywhere but at
+        # their first slot.
+        descents = compress(range(1, len(nbr)), map(gt, nbr, islice(nbr, 1, None)))
+        for v in {bisect_right(start, j) - 1 for j in set(descents).difference(start)}:
+            nbr[start[v] : start[v + 1]] = sorted(nbr[start[v] : start[v + 1]])
+        # Only a vertex of degree above the cap can carry a pair above it.
+        for v in compress(range(n), map(lt, repeat(MAX_MULTIPLICITY), deg)):
+            run = nbr[start[v] : start[v + 1]]
+            for a, b in zip(run, run[MAX_MULTIPLICITY:]):
+                if a == b:
+                    pair = (v, a) if v < a else (a, v)
+                    raise ValueError(f"edge {pair} has multiplicity > {MAX_MULTIPLICITY}")
         self.n = n
-        self._mult = mult
-        self._adj = [frozenset(s) for s in adj]
-        self._deg = deg
+        self._start = start
+        self._nbr = nbr
 
     # -- queries ---------------------------------------------------------
+
+    def neighbors(self, v: int) -> list[int]:
+        """v's neighbors in increasing order, each repeated once per
+        parallel edge (a fresh list)."""
+        # The range test is inlined: the hot loops call this once per vertex.
+        if not 0 <= v < self.n:
+            raise IndexError(f"vertex {v} out of range for n={self.n}")
+        return self._nbr[self._start[v] : self._start[v + 1]]
 
     def degree(self, v: int) -> int:
         """Sum of multiplicities of edges incident to v."""
         self._check_vertex(v)
-        return self._deg[v]
+        return self._start[v + 1] - self._start[v]
 
     def distinct_neighbors(self, v: int) -> frozenset[int]:
         """Vertices joined to v by at least one edge, ignoring multiplicity."""
-        self._check_vertex(v)
-        return self._adj[v]
+        return frozenset(self.neighbors(v))
 
     def multiplicity(self, u: int, v: int) -> int:
         """Number of parallel edges between u and v (0 if none)."""
@@ -69,35 +111,36 @@ class Multigraph:
         self._check_vertex(v)
         if u == v:
             return 0
-        return self._mult.get((u, v) if u < v else (v, u), 0)
+        lo, hi = self._start[u], self._start[u + 1]
+        return bisect_right(self._nbr, v, lo, hi) - bisect_left(self._nbr, v, lo, hi)
 
     def adjacent(self, u: int, v: int) -> bool:
         return self.multiplicity(u, v) > 0
 
-    def edge_pairs(self) -> list[tuple[int, int, int]]:
-        """Distinct edges as (u, v, multiplicity) with u < v, sorted."""
-        return sorted((u, v, m) for (u, v), m in self._mult.items())
-
     def edge_list(self) -> list[tuple[int, int]]:
         """Edges expanded by multiplicity, sorted by (min, max) endpoint."""
+        start, nbr = self._start, self._nbr
         out = []
-        for u, v, m in self.edge_pairs():
-            out.extend([(u, v)] * m)
+        for u in range(self.n):
+            for v in nbr[start[u] : start[u + 1]]:
+                if v > u:
+                    out.append((u, v))
         return out
+
+    def edge_pairs(self) -> list[tuple[int, int, int]]:
+        """Distinct edges as (u, v, multiplicity) with u < v, sorted."""
+        return [(u, v, m) for (u, v), m in Counter(self.edge_list()).items()]
 
     @property
     def edge_count(self) -> int:
         """Total number of edges counted with multiplicity."""
-        return sum(self._mult.values())
+        return len(self._nbr) // 2
 
     def relabel(self, perm) -> "Multigraph":
         """Return the graph with vertex v renamed to perm[v]."""
         if sorted(perm) != list(range(self.n)):
             raise ValueError("perm must be a permutation of 0..n-1")
-        edges = []
-        for u, v, m in self.edge_pairs():
-            edges.extend([(perm[u], perm[v])] * m)
-        return Multigraph(self.n, edges)
+        return Multigraph._from_ends(self.n, [perm[x] for x in chain.from_iterable(self.edge_list())])
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
@@ -106,10 +149,10 @@ class Multigraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Multigraph):
             return NotImplemented
-        return self.n == other.n and self._mult == other._mult
+        return self.n == other.n and self._start == other._start and self._nbr == other._nbr
 
     def __hash__(self):
-        return hash((self.n, frozenset(self._mult.items())))
+        return hash((self.n, tuple(self._nbr)))
 
     def __repr__(self) -> str:
         return f"Multigraph(n={self.n}, edges={self.edge_count})"
@@ -148,16 +191,13 @@ def validate(g: Multigraph) -> ValidationReport:
     neighbors; edge multiplicities are irrelevant to the adjacency tests.
     All findings are reported, never raised.
     """
-    is_cubic = all(g.degree(v) == 3 for v in range(g.n))
-    is_connected = _connected(g)
+    is_cubic = g._start == list(range(0, 3 * g.n + 1, 3))
     witness = _find_claw(g)
     # Exact K4 test: all six simple edges, nothing doubled.
-    is_k4 = g.n == 4 and all(
-        g.multiplicity(u, v) == 1 for u, v in itertools.combinations(range(4), 2)
-    )
+    is_k4 = g.n == 4 and all(g.neighbors(v) == [u for u in range(4) if u != v] for v in range(4))
     return ValidationReport(
         is_cubic=is_cubic,
-        is_connected=is_connected,
+        is_connected=_connected(g),
         is_claw_free=witness is None,
         is_k4=is_k4,
         claw_witness=witness,
@@ -165,55 +205,90 @@ def validate(g: Multigraph) -> ValidationReport:
 
 
 def _connected(g: Multigraph) -> bool:
-    seen = {0}
+    start, nbr = g._start, g._nbr
+    seen = [False] * g.n
+    seen[0] = True
+    count = 1
     stack = [0]
     while stack:
         v = stack.pop()
-        for u in g.distinct_neighbors(v):
-            if u not in seen:
-                seen.add(u)
+        for u in nbr[start[v] : start[v + 1]]:
+            if not seen[u]:
+                seen[u] = True
+                count += 1
                 stack.append(u)
-    return len(seen) == g.n
+    return count == g.n
 
 
 def _find_claw(g: Multigraph) -> tuple[int, int, int, int] | None:
+    start, nbr = g._start, g._nbr
+    # Vertices seen in a triangle; one of degree at most 3 cannot center
+    # a claw.
+    in_triangle = [False] * g.n
     for v in range(g.n):
-        nbrs = sorted(g.distinct_neighbors(v))
-        if len(nbrs) < 3:
-            # A vertex on a parallel edge has at most two distinct
-            # neighbors in a cubic graph and can never center a claw.
+        if in_triangle[v] and start[v + 1] - start[v] <= 3:
             continue
-        for a, b, c in itertools.combinations(nbrs, 3):
-            if not (g.adjacent(a, b) or g.adjacent(a, c) or g.adjacent(b, c)):
+        run = nbr[start[v] : start[v + 1]]
+        if len(run) < 3:
+            continue
+        if len(run) != 3 or run[0] == run[1] or run[1] == run[2]:
+            run = list(dict.fromkeys(run))
+            if len(run) < 3:
+                # A vertex on a parallel edge has at most two distinct
+                # neighbors in a cubic graph and can never center a claw.
+                continue
+        for a, b, c in combinations(run, 3):
+            near_a = nbr[start[a] : start[a + 1]]
+            if b in near_a:
+                in_triangle[a] = in_triangle[b] = True
+            elif c in near_a:
+                in_triangle[a] = in_triangle[c] = True
+            elif c in nbr[start[b] : start[b + 1]]:
+                in_triangle[b] = in_triangle[c] = True
+            else:
                 return (v, a, b, c)
     return None
 
 
 def triangles(g: Multigraph) -> list[tuple[int, int, int]]:
     """All vertex triples u < v < w with the three pairs adjacent."""
+    start, nbr = g._start, g._nbr
     out = []
     for u in range(g.n):
-        nbrs = sorted(x for x in g.distinct_neighbors(u) if x > u)
-        for v, w in itertools.combinations(nbrs, 2):
-            if g.adjacent(v, w):
+        end = start[u + 1]
+        higher = nbr[bisect_right(nbr, u, start[u], end) : end]
+        if len(higher) < 2:
+            continue
+        if len(set(higher)) < len(higher):
+            higher = list(dict.fromkeys(higher))
+        for v, w in combinations(higher, 2):
+            if w in nbr[start[v] : start[v + 1]]:
                 out.append((u, v, w))
     return out
 
 
 # -- text format -----------------------------------------------------------
 #
-#   # optional comment lines
+#   # optional comment lines (the first non-blank character is #)
 #   n m
 #   u v          (m lines, 0-based endpoints, one line per parallel edge)
 
 
 def parse_graph(text: str) -> Multigraph:
     """Parse the edge-list text format; raises GraphFormatError on bad input."""
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
+    n, ends = _read_edges(text)
+    try:
+        return Multigraph._from_ends(n, ends)
+    except ValueError as exc:
+        raise GraphFormatError(str(exc)) from exc
+
+
+def _read_edges(text: str) -> tuple[int, list[int]]:
+    """The vertex count and the flat endpoint list u0 v0 u1 v1 ... of the
+    edge lines; the lines themselves are dropped on return."""
+    lines = list(filter(None, map(str.strip, text.splitlines())))
+    if "#" in text:
+        lines = [ln for ln in lines if not ln.startswith("#")]
     if not lines:
         raise GraphFormatError("empty graph file")
     header = lines[0].split()
@@ -223,22 +298,36 @@ def parse_graph(text: str) -> Multigraph:
         n, m = int(header[0]), int(header[1])
     except ValueError as exc:
         raise GraphFormatError(f"non-integer header {lines[0]!r}") from exc
-    if len(lines) - 1 != m:
-        raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = []
-    for ln in lines[1:]:
+    body = lines[1:]
+    if len(body) != m:
+        raise GraphFormatError(f"expected {m} edge lines, found {len(body)}")
+    # One split for every edge line, with a "#" token between lines. No
+    # comment line is left and no integer reads "#", so each line holds
+    # exactly two integers iff every third token is a "#" and the others
+    # are integers.
+    tokens = " # ".join(body).split()
+    if len(tokens) == 3 * m - 1 and tokens[2::3] == ["#"] * (m - 1):
+        del tokens[2::3]
+        try:
+            return n, list(map(int, tokens))
+        except ValueError:
+            pass
+    return n, _edge_line_ends(body)
+
+
+def _edge_line_ends(body: list[str]) -> list[int]:
+    """The slow reading of the edge lines, one at a time, that names the
+    first line that is not two integers."""
+    ends = []
+    for ln in body:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphFormatError(f"expected edge line 'u v', got {ln!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            ends += (int(parts[0]), int(parts[1]))
         except ValueError as exc:
             raise GraphFormatError(f"non-integer edge line {ln!r}") from exc
-        edges.append((u, v))
-    try:
-        return Multigraph(n, edges)
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from exc
+    return ends
 
 
 def format_graph(g: Multigraph) -> str:

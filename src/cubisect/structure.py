@@ -16,6 +16,7 @@ drive the monochromatic-edge formula.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import PartitionError
@@ -93,7 +94,14 @@ def find_blocks(g: Multigraph) -> StructurePartition:
             vertex_to_block[v] = len(blocks)
         blocks.append(block)
 
-    doubled = [(u, v, m) for u, v, m in g.edge_pairs() if m >= 2]
+    nbrs = g.neighbors
+    # Pairs joined by parallel edges, as (u, v, multiplicity) with u < v,
+    # in increasing order.
+    doubled = []
+    for u in range(n):
+        run = nbrs(u)
+        if len(set(run)) < len(run):
+            doubled.extend((u, v, m) for v, m in Counter(run).items() if m >= 2 and v > u)
 
     for u, v, m in doubled:
         if m == 3:
@@ -102,7 +110,7 @@ def find_blocks(g: Multigraph) -> StructurePartition:
     for u, v, m in doubled:
         if m != 2:
             continue
-        common = sorted(g.distinct_neighbors(u) & g.distinct_neighbors(v))
+        common = sorted(set(nbrs(u)).intersection(nbrs(v)))
         if len(common) > 1:
             raise PartitionError(f"doubled edge ({u}, {v}) has {len(common)} common neighbors")
         if common:
@@ -110,36 +118,36 @@ def find_blocks(g: Multigraph) -> StructurePartition:
         else:
             claim(Block(DIGON, (u, v), digon_multiplicity=2))
 
-    for b, c, m in g.edge_pairs():
-        if m != 1 or covered[b] or covered[c]:
+    # Every vertex on a parallel edge is covered now, so the runs of the
+    # uncovered vertices below hold no repeats and every pair among them
+    # is simple.
+    for b in range(n):
+        if covered[b]:
             continue
-        common = sorted(
-            w
-            for w in g.distinct_neighbors(b) & g.distinct_neighbors(c)
-            if not covered[w]
-        )
-        if len(common) != 2:
-            continue
-        a, d = common
-        if g.adjacent(a, d):
-            # All six pairs present: an induced K4, which has no block cover.
-            raise PartitionError(f"vertices ({a}, {b}, {c}, {d}) induce K4")
-        for x, y in ((a, b), (a, c), (b, c), (b, d), (c, d)):
-            if g.multiplicity(x, y) != 1:
-                raise PartitionError(
-                    f"diamond candidate ({a}, {b}, {c}, {d}) has a doubled side"
-                )
-        claim(Block(DIAMOND, (a, b, c, d)))
+        near_b = nbrs(b)
+        for c in near_b:
+            if c < b or covered[c]:
+                continue
+            near_c = nbrs(c)
+            common = [w for w in near_b if not covered[w] and w in near_c]
+            if len(common) != 2:
+                continue
+            a, d = common
+            if d in nbrs(a):
+                # All six pairs present: an induced K4, which has no block cover.
+                raise PartitionError(f"vertices ({a}, {b}, {c}, {d}) induce K4")
+            claim(Block(DIAMOND, (a, b, c, d)))
+            break
 
     for v in range(n):
         if covered[v]:
             continue
-        nbrs = sorted(u for u in g.distinct_neighbors(v) if not covered[u])
+        near = [u for u in nbrs(v) if not covered[u]]
         tris = [
             (u, w)
-            for i, u in enumerate(nbrs)
-            for w in nbrs[i + 1 :]
-            if g.adjacent(u, w)
+            for i, u in enumerate(near)
+            for w in near[i + 1 :]
+            if w in nbrs(u)
         ]
         if len(tris) != 1:
             raise PartitionError(

@@ -196,6 +196,62 @@ def test_parse_error_exits_1(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # Six tokens for two edges, but one line has one and the next three.
+        ("3 2\n0\n1 2 0\n", "expected edge line 'u v', got '0'"),
+        # A comment is a whole line; an inline one is a third token.
+        ("2 1\n0 1 # x\n", "expected edge line 'u v', got '0 1 # x'"),
+        ("2 1\n0 #\n", "non-integer edge line '0 #'"),
+        ("2 2\n0 1\n0 x\n", "non-integer edge line '0 x'"),
+    ],
+)
+def test_malformed_edge_lines_exit_1(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, ["check", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_crlf_blank_lines_and_indented_comments_accepted(tmp_path, capsys, fixtures):
+    canonical = format_graph(fixtures["prism"])
+    head, *edges = canonical.splitlines()
+    text = "  # prism\r\n\r\n\t" + head + "\r\n   \r\n" + "\r\n\t# between\r\n".join(edges) + "\r\n\r\n"
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(text.encode())
+    code, out, _ = run_cli(capsys, ["check", str(path)])
+    assert code == 0 and "in-class: yes" in out
+    _, expected, _ = run_cli(capsys, ["bisect", write_graph(tmp_path, fixtures["prism"])])
+    assert run_cli(capsys, ["bisect", str(path)])[1] == expected
+
+
+PRISM_EDGES = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5)]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "3 3\n0 1\n0 2\n1 2\n",  # a lone triangle: degree 2
+        "2 2\n0 1\n0 1\n",  # a double edge: degree 2
+        # Two disjoint prisms: cubic and claw-free, but not connected.
+        "12 18\n" + "".join(f"{u + s} {v + s}\n" for s in (0, 6) for u, v in PRISM_EDGES),
+    ],
+    ids=["lone_triangle", "double_edge", "two_prisms"],
+)
+def test_partition_out_of_class_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, ["partition", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: graph is not a connected claw-free cubic multigraph\n")
+    assert run_cli(capsys, ["bisect", str(path)])[0] == 2
+    assert "in-class: no" in run_cli(capsys, ["check", str(path)])[1]
+
+
 def test_missing_file_exits_1(capsys):
     code, _, err = run_cli(capsys, ["check", "/nonexistent/graph.txt"])
     assert code == 1

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,9 @@ from hypothesis import strategies as st
 from cubisect import (
     GraphFormatError,
     Multigraph,
+    find_blocks,
     format_graph,
+    min_bisection,
     parse_graph,
     triangles,
     validate,
@@ -137,6 +141,11 @@ def test_parse_format_roundtrip_exact():
         "2 1\n0 x\n",
         "2 1\n0 5\n",
         "1 1\n0 0\n",
+        "3 2\n0\n1 2 0\n",
+        "2 1\n0 1 # x\n",
+        "2 1\n0 #\n",
+        "2 4\n0 1\n0 1\n0 1\n1 0\n",
+        "0 0\n",
     ],
 )
 def test_parse_rejects(bad):
@@ -169,3 +178,67 @@ def test_validation_is_label_invariant(perm):
         b.is_claw_free,
         b.is_k4,
     )
+
+
+def test_parse_accepts_crlf_blank_lines_and_indented_comments():
+    g = parse_graph("6 9\n0 1\n0 2\n0 3\n1 2\n1 4\n2 5\n3 4\n3 5\n4 5\n")
+    text = "\r\n  # prism\r\n6 9\r\n\t\r\n0 1\r\n 0  2 \r\n\t# side\r\n0\t3\r\n1 2\r\n1 4\r\n2 5\r\n3 4\r\n3 5\r\n4 5"
+    assert parse_graph(text) == g
+    assert parse_graph("1 0\n") == Multigraph(1, [])
+
+
+def _shuffled(edges, rng):
+    """The same edges in a random order, each pair in a random orientation."""
+    out = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+    rng.shuffle(out)
+    return out
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=150)
+def test_flat_layout_matches_a_multiplicity_model(data):
+    # Any multigraph with multiplicities up to 3: degrees run past 3 and
+    # most draws are not cubic.
+    n = data.draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    mults = data.draw(st.lists(st.sampled_from([0, 0, 1, 1, 2, 3]), min_size=len(pairs), max_size=len(pairs)))
+    model = {pair: m for pair, m in zip(pairs, mults) if m}
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    edges = _shuffled([pair for pair, m in model.items() for _ in range(m)], rng)
+    g = Multigraph(n, edges)
+
+    assert g.edge_pairs() == [(u, v, m) for (u, v), m in sorted(model.items())]
+    assert g.edge_list() == [pair for pair, m in sorted(model.items()) for _ in range(m)]
+    assert g.edge_count == sum(model.values())
+    for v in range(n):
+        incident = {(p[0] if p[1] == v else p[1]): m for p, m in model.items() if v in p}
+        assert g.degree(v) == sum(incident.values())
+        assert g.distinct_neighbors(v) == frozenset(incident)
+        assert g.neighbors(v) == sorted(u for u, m in incident.items() for _ in range(m))
+        for u in range(n):
+            assert g.multiplicity(u, v) == incident.get(u, 0)
+            assert g.adjacent(u, v) == (u in incident)
+
+    h = Multigraph(n, _shuffled(edges, rng))
+    assert h == g and hash(h) == hash(g)
+    assert parse_graph(format_graph(h)) == g
+    text = f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in _shuffled(edges, rng))
+    assert parse_graph(text) == g
+    for (u, v), m in model.items():
+        with pytest.raises(ValueError, match="multiplicity > 3"):
+            Multigraph(n, edges + [(v, u)] * (4 - m))
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=60)
+def test_edge_order_does_not_change_results(corpus, fixtures, data):
+    graphs = [g for _, g in corpus] + list(fixtures.values())
+    g = graphs[data.draw(st.integers(0, len(graphs) - 1))]
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    h = Multigraph(g.n, _shuffled(g.edge_list(), rng))
+    assert h == g
+    report = validate(h)
+    assert report == validate(g)
+    if report.in_class:
+        assert find_blocks(h) == find_blocks(g)
+        assert min_bisection(h) == min_bisection(g)
