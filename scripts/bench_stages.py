@@ -2,15 +2,14 @@
 """Time each stage of `cubisect bisect` on a fixed ladder of instances and
 write the numbers to BENCH_stages.json.
 
-Usage: python scripts/bench_stages.py [--sizes 1000 10000 100000 480000]
-                                      [--repeat 3] [--out BENCH_stages.json]
+Usage: python scripts/bench_stages.py
 
 Each rung is one generated instance per parity of the diamond count k,
 from a fixed recipe seed, so runs compare from commit to commit. The
 stages are the ones `min_bisection` and the CLI run: parse, validate,
 find_blocks, construct (the Euler walk), certify (mono_stats,
 is_2bisection, and is_desired for even k) and serialize (the bisection
-JSON). For each stage the file records the best wall time of --repeat
+JSON). For each stage the file records the best wall time of REPEAT
 runs and, from one more run under tracemalloc, the peak of the traced
 Python heap while the stage runs; results of earlier stages are live
 then, as in the CLI. Each rung also records the wall time of `cubisect
@@ -20,7 +19,6 @@ peak resident set (VmHWM, Linux only; null elsewhere).
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import platform
@@ -50,6 +48,8 @@ from cubisect import (  # noqa: E402
 
 SIZES = (1000, 10_000, 100_000, 480_000)
 SEED = 1
+# Timed runs per stage; the best is kept.
+REPEAT = 3
 # Shares of the vertices in diamonds and in digons; triangles take the rest.
 MIX = (0.25, 0.125)
 
@@ -115,9 +115,9 @@ def pipeline(text: str):
     ]
 
 
-def measure_stages(text: str, repeat: int) -> dict:
+def measure_stages(text: str) -> dict:
     best: dict[str, float] = {}
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         for name, stage in pipeline(text):
             t0 = time.perf_counter()
             stage()
@@ -160,15 +160,9 @@ def cpu_model() -> str:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--sizes", type=int, nargs="+", default=list(SIZES), help="approximate vertex counts")
-    ap.add_argument("--repeat", type=int, default=3, help="timed runs per stage (best is kept)")
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_stages.json"))
-    args = ap.parse_args()
-
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
-        for size in args.sizes:
+        for size in SIZES:
             for parity in (0, 1):
                 r = recipe(size, parity)
                 g = generate(r)
@@ -182,7 +176,7 @@ def main() -> int:
                     "n": r.n,
                     "recipe": [r.k, r.t, r.p, r.seed],
                     "parity": "odd" if r.k % 2 else "even",
-                    "stages": measure_stages(text, args.repeat),
+                    "stages": measure_stages(text),
                     "cli": {cmd: measure_cli(cmd, path, os.path.join(tmp, "out")) for cmd in ("check", "bisect")},
                 }
                 del text
@@ -192,8 +186,8 @@ def main() -> int:
                 print(f"n={r.n} {row['parity']}: {stages} | cli {cli}", flush=True)
 
     environment = {"python": platform.python_version(), "cpus": os.cpu_count(), "cpu": cpu_model()}
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump({"environment": environment, "repeat": args.repeat, "instances": rows}, fh, indent=1)
+    with open(os.path.join(ROOT, "BENCH_stages.json"), "w", encoding="utf-8") as fh:
+        json.dump({"environment": environment, "repeat": REPEAT, "instances": rows}, fh, indent=1)
         fh.write("\n")
     return 0
 

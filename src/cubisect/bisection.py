@@ -140,7 +140,8 @@ def is_desired(
             violations.append((TRIANGLE_ONE_MONO, (u, v, w)))
 
     # One pass over the monochromatic pairs u < v, in edge order, for the
-    # second and the fourth condition.
+    # second and the fourth condition; the fourth's violations are held
+    # back so the report keeps the order of the conditions.
     outside: list[Violation] = []
     parallel: list[Violation] = []
     for u in range(g.n):

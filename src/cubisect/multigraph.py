@@ -71,7 +71,7 @@ class Multigraph:
             pos[v] = i + 1
         # Runs come out sorted when the edges arrive sorted, as format_graph
         # writes them; sort the runs that hold a descent anywhere but at
-        # their first slot.
+        # their first slot. On parsed files this beats sorting every run.
         descents = compress(range(1, len(nbr)), map(gt, nbr, islice(nbr, 1, None)))
         for v in {bisect_right(start, j) - 1 for j in set(descents).difference(start)}:
             nbr[start[v] : start[v + 1]] = sorted(nbr[start[v] : start[v + 1]])
@@ -222,8 +222,9 @@ def _connected(g: Multigraph) -> bool:
 
 def _find_claw(g: Multigraph) -> tuple[int, int, int, int] | None:
     start, nbr = g._start, g._nbr
-    # Vertices seen in a triangle; one of degree at most 3 cannot center
-    # a claw.
+    # Vertices seen in a triangle. One of degree at most 3 cannot center a
+    # claw: it has at most one triple of distinct neighbors, and that triple
+    # holds the two other corners of the triangle, which are adjacent.
     in_triangle = [False] * g.n
     for v in range(g.n):
         if in_triangle[v] and start[v + 1] - start[v] <= 3:

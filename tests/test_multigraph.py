@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -122,6 +123,28 @@ def test_claw_witness_is_a_claw(fixtures):
     assert not any(g.adjacent(x, y) for x, y in ((a, b), (a, c), (b, c)))
 
 
+@given(st.data())
+@settings(deadline=None, max_examples=150)
+def test_claw_witness_is_the_first_claw(data):
+    # validate skips vertices of degree at most 3 already seen in a
+    # triangle; its witness must still be the first claw of the plain scan
+    # (center ascending, then leaves in increasing order), on graphs with
+    # degrees past 3 and parallel edges.
+    n = data.draw(st.integers(4, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    mults = data.draw(st.lists(st.sampled_from([0, 0, 0, 1, 1, 2]), min_size=len(pairs), max_size=len(pairs)))
+    g = Multigraph(n, [pair for pair, m in zip(pairs, mults) for _ in range(m)])
+    first = None
+    for v in range(n):
+        for a, b, c in combinations(sorted(g.distinct_neighbors(v)), 3):
+            if not (g.adjacent(a, b) or g.adjacent(a, c) or g.adjacent(b, c)):
+                first = (v, a, b, c)
+                break
+        if first:
+            break
+    assert validate(g).claw_witness == first
+
+
 def test_parse_format_roundtrip_exact():
     text = "6 9\n0 1\n0 2\n0 3\n1 2\n1 4\n2 5\n3 4\n3 5\n4 5\n"
     g = parse_graph(text)
@@ -151,6 +174,15 @@ def test_parse_format_roundtrip_exact():
 def test_parse_rejects(bad):
     with pytest.raises(GraphFormatError):
         parse_graph(bad)
+
+
+def test_multiplicity_error_names_the_pair_at_the_lowest_vertex():
+    # The cap is checked vertex by vertex after the fill, so of two pairs
+    # over it the one at the lower vertex is named, whatever the edge order.
+    with pytest.raises(ValueError, match=r"^edge \(0, 1\) has multiplicity > 3$"):
+        Multigraph(4, [(2, 3)] * 4 + [(0, 1)] * 4)
+    with pytest.raises(GraphFormatError, match=r"^edge \(0, 1\) has multiplicity > 3$"):
+        parse_graph("4 8\n" + "2 3\n" * 4 + "1 0\n" * 4)
 
 
 @given(st.data())
