@@ -6,13 +6,13 @@ Usage: python scripts/bench_stages.py
 
 Each rung is one generated instance per parity of the diamond count k,
 from a fixed recipe seed, so runs compare from commit to commit. The
-stages are the ones `min_bisection` and the CLI run: parse, validate,
-find_blocks, construct (the Euler walk), certify (mono_stats,
-is_2bisection, and is_desired for even k) and serialize (the bisection
-JSON). For each stage the file records the best wall time of REPEAT
-runs and, from one more run under tracemalloc, the peak of the traced
-Python heap while the stage runs; results of earlier stages are live
-then, as in the CLI. Each rung also records the wall time of `cubisect
+stages are the ones `min_bisection` and the CLI run: parse, validate (the
+class gate's checks before the cover: cubic, connected, not K4),
+find_blocks, construct (the Euler walk), certify (mono_stats and
+is_2bisection) and serialize (the bisection JSON). For each stage the
+file records the best wall time of REPEAT runs and, from one more run
+under tracemalloc, the peak of the traced Python heap while the stage
+runs; results of earlier stages are live then, as in the CLI. Each rung also records the wall time of `cubisect
 check` and `cubisect bisect` run as child processes, and the child's
 peak resident set (VmHWM, Linux only; null elsewhere).
 """
@@ -40,11 +40,10 @@ from cubisect import (  # noqa: E402
     format_graph,
     generate,
     is_2bisection,
-    is_desired,
     mono_stats,
     parse_graph,
-    validate,
 )
+from cubisect.multigraph import cubic_connected_not_k4  # noqa: E402
 
 SIZES = (1000, 10_000, 100_000, 480_000)
 SEED = 1
@@ -85,7 +84,7 @@ def pipeline(text: str):
         state["g"] = parse_graph(text)
 
     def check():
-        validate(state["g"])
+        cubic_connected_not_k4(state["g"])
 
     def blocks():
         state["part"] = find_blocks(state["g"])
@@ -96,14 +95,12 @@ def pipeline(text: str):
         state["bis"] = desired_bisection_csp(state["g"], part, flip)
 
     def certify():
-        g, part, bis = state["g"], state["part"], state["bis"]
-        mono_stats(g, bis)
+        g, bis = state["g"], state["bis"]
+        state["stats"] = mono_stats(g, bis)
         is_2bisection(g, bis)
-        if part.k % 2 == 0:
-            is_desired(g, part, bis)
 
     def serialize():
-        json.dumps(bisection_to_json(state["g"], state["bis"]), indent=2)
+        json.dumps(bisection_to_json(state["bis"], state["stats"]), indent=2)
 
     return [
         ("parse", parse),

@@ -80,11 +80,12 @@ def mono_stats(g: Multigraph, b: Bisection) -> MonoStats:
     if b.n != g.n:
         raise ValueError(f"coloring covers {b.n} vertices, graph has {g.n}")
     colors = b.colors
+    start, nbr = g._start, g._nbr
     # Each monochromatic edge is seen from both of its ends.
     same = [0, 0]
-    for u, near in enumerate(map(g.neighbors, range(g.n))):
+    for u in range(g.n):
         c = colors[u]
-        for v in near:
+        for v in nbr[start[u] : start[u + 1]]:
             if colors[v] == c:
                 same[c] += 1
     eb, ew = same[BLACK] // 2, same[WHITE] // 2
@@ -101,10 +102,11 @@ def is_2bisection(g: Multigraph, b: Bisection) -> bool:
     if b.n != g.n:
         raise ValueError(f"coloring covers {b.n} vertices, graph has {g.n}")
     colors = b.colors
-    for v, near in enumerate(map(g.neighbors, range(g.n))):
+    start, nbr = g._start, g._nbr
+    for v in range(g.n):
         c = colors[v]
         mate = -1
-        for u in near:
+        for u in nbr[start[v] : start[v + 1]]:
             if colors[u] == c:
                 if mate >= 0 and u != mate:
                     return False
@@ -181,8 +183,8 @@ def parity_check(g: Multigraph, b: Bisection) -> bool:
     return stats.epsilon_black == stats.epsilon_white
 
 
-def bisection_to_json(g: Multigraph, b: Bisection) -> dict:
-    stats = mono_stats(g, b)
+def bisection_to_json(b: Bisection, stats: MonoStats) -> dict:
+    """The JSON form of b with its counts, as mono_stats gave them for b."""
     return {
         "black": b.black(),
         "white": b.white(),

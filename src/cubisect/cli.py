@@ -16,12 +16,11 @@ import json
 import sys
 
 from .bisection import BLACK, bisection_from_json, bisection_to_json, is_2bisection, is_desired, mono_stats
-from .construct import min_bisection, require_in_class
+from .construct import min_bisection, require_cover
 from .errors import GraphFormatError, NotApplicable, PartitionError, TooLarge, Unsatisfiable
 from .generator import BlockRecipe, generate
 from .multigraph import Multigraph, format_graph, parse_graph, validate
 from .oracle import DEFAULT_LIMIT, HARD_CAP, oracle_min
-from .structure import find_blocks
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,8 +86,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[int, str]:
 
 def _cmd_partition(args: argparse.Namespace) -> tuple[int, str]:
     g = _load_graph(args.graph)
-    require_in_class(g)
-    return 0, _json_text(find_blocks(g).to_json())
+    return 0, _json_text(require_cover(g).to_json())
 
 
 def _cmd_bisect(args: argparse.Namespace) -> tuple[int, str]:
@@ -96,7 +94,7 @@ def _cmd_bisect(args: argparse.Namespace) -> tuple[int, str]:
     bis, cert = min_bisection(g)
     if args.format == "dot":
         return 0, _dot_graph(g, bis.colors)
-    payload = {"bisection": bisection_to_json(g, bis), "certificate": cert.to_json()}
+    payload = {"bisection": bisection_to_json(bis, cert.stats), "certificate": cert.to_json()}
     return 0, _json_text(payload)
 
 
@@ -121,8 +119,12 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     two = is_2bisection(g, b)
     desired: bool | None = None
     violations: list = []
-    if validate(g).in_class:
-        desired, raw = is_desired(g, find_blocks(g), b)
+    try:
+        part = require_cover(g)
+    except NotApplicable:
+        pass
+    else:
+        desired, raw = is_desired(g, part, b)
         violations = [[name, list(verts)] for name, verts in raw]
     if args.format == "json":
         text = _json_text(

@@ -11,21 +11,29 @@ it in linear time. Odd k runs the same walk with one diamond colored to
 carry exactly two monochromatic edges. Diamond removal and splicing
 (``reduce_diamond`` and ``lift``) are the proof device for the odd case
 and are kept for the tests that check it.
+
+``require_cover`` is the class gate: on a cubic connected graph other
+than K4 the block cover exists exactly when the graph is claw-free, so
+the claw search runs only when the cover fails, to build the report.
+``min_bisection`` certifies its coloring with one ``mono_stats`` and one
+``is_2bisection`` pass; for even k a count equal to the formula already
+makes the coloring desired.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bisection import BLACK, WHITE, Bisection, is_2bisection, is_desired, mono_stats
+from .bisection import BLACK, WHITE, Bisection, MonoStats, is_2bisection, mono_stats
 from .errors import (
     CertificateError,
     LiftError,
     NotApplicable,
+    PartitionError,
     ReductionError,
     SearchExhausted,
 )
-from .multigraph import Multigraph, format_graph, validate
+from .multigraph import Multigraph, cubic_connected_not_k4, format_graph, validate
 from .structure import DIAMOND, DIGON, TRIANGLE, TRUMPET, Block, StructurePartition, find_blocks
 
 
@@ -69,9 +77,10 @@ def desired_bisection_csp(
     colors = [-1] * n
     # ext[v]: v's neighbor in another block, -1 for vertices inside one.
     ext = [-1] * n
-    for u, near in enumerate(map(g.neighbors, range(n))):
+    start, nbr = g._start, g._nbr
+    for u in range(n):
         bu = block_of[u]
-        for v in near:
+        for v in nbr[start[u] : start[u + 1]]:
             if block_of[v] != bu:
                 ext[u] = v
     is_port = [False] * n
@@ -302,14 +311,17 @@ def lift(red: DiamondReduction, bp: Bisection) -> Bisection:
 class BisectionCertificate:
     """Certificate that a coloring attains the closed-form minimum."""
 
-    epsilon: int
+    stats: MonoStats
     n: int
     k: int
     p: int
     formula_value: int
     parity: int
     is_valid_2bisection: bool
-    is_desired: bool
+
+    @property
+    def epsilon(self) -> int:
+        return self.stats.epsilon
 
     def to_json(self) -> dict:
         return {
@@ -348,6 +360,26 @@ def require_in_class(g: Multigraph) -> None:
         )
 
 
+def require_cover(g: Multigraph) -> StructurePartition:
+    """The block cover of g; raises NotApplicable, with the same report,
+    wherever require_in_class does.
+
+    A cubic graph with a block cover is claw-free: each vertex lies in a
+    triangle, whose other two corners are adjacent, or on a parallel edge,
+    which leaves it at most two distinct neighbors. So for a connected
+    cubic graph other than K4 the cover decides the class, and the claw
+    search of validate runs only when the cover fails, to build the
+    report. A PartitionError on an in-class graph propagates.
+    """
+    if not cubic_connected_not_k4(g):
+        require_in_class(g)  # raises: g fails one of validate's tests
+    try:
+        return find_blocks(g)
+    except PartitionError:
+        require_in_class(g)
+        raise
+
+
 def min_bisection(g: Multigraph) -> tuple[Bisection, BisectionCertificate]:
     """Compute a 2-bisection with the minimum monochromatic count,
     together with a self-checked certificate.
@@ -355,23 +387,26 @@ def min_bisection(g: Multigraph) -> tuple[Bisection, BisectionCertificate]:
     Raises NotApplicable when the graph falls outside the covered class:
     not cubic, not connected, not claw-free, or the complete graph on
     four vertices (whose best 2-bisection exceeds the formula).
+
+    For even k the certificate also proves the coloring desired: every
+    diamond, triangle and trumpet holds a triangle, so a balanced
+    coloring has at least k + t monochromatic edges, and a count of
+    exactly k + t (the formula for even k) leaves one in each of these
+    blocks and none on a digon or between blocks.
     """
-    require_in_class(g)
-    part = find_blocks(g)
+    part = require_cover(g)
     flip = _canonical_diamond(part) if part.k % 2 else None
     bis = desired_bisection_csp(g, part, flip)
 
     stats = mono_stats(g, bis)
-    expected = formula_minimum(g.n, part.k, part.p)
     cert = BisectionCertificate(
-        epsilon=stats.epsilon,
+        stats=stats,
         n=g.n,
         k=part.k,
         p=part.p,
-        formula_value=expected,
+        formula_value=formula_minimum(g.n, part.k, part.p),
         parity=part.k % 2,
         is_valid_2bisection=is_2bisection(g, bis),
-        is_desired=(part.k % 2 == 0 and is_desired(g, part, bis)[0]),
     )
     if not cert.is_valid_2bisection:
         raise CertificateError("constructed coloring is not a 2-bisection:\n" + format_graph(g))

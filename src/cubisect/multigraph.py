@@ -191,17 +191,33 @@ def validate(g: Multigraph) -> ValidationReport:
     neighbors; edge multiplicities are irrelevant to the adjacency tests.
     All findings are reported, never raised.
     """
-    is_cubic = g._start == list(range(0, 3 * g.n + 1, 3))
     witness = _find_claw(g)
-    # Exact K4 test: all six simple edges, nothing doubled.
-    is_k4 = g.n == 4 and all(g.neighbors(v) == [u for u in range(4) if u != v] for v in range(4))
     return ValidationReport(
-        is_cubic=is_cubic,
+        is_cubic=_is_cubic(g),
         is_connected=_connected(g),
         is_claw_free=witness is None,
-        is_k4=is_k4,
+        is_k4=_is_k4(g),
         claw_witness=witness,
     )
+
+
+def cubic_connected_not_k4(g: Multigraph) -> bool:
+    """validate's tests other than the claw search, as one verdict.
+
+    For a graph that passes them, a block cover exists exactly when it is
+    claw-free, so the class gate pairs this with the cover and runs the
+    claw search only to report a failure.
+    """
+    return _is_cubic(g) and _connected(g) and not _is_k4(g)
+
+
+def _is_cubic(g: Multigraph) -> bool:
+    return g._start == list(range(0, 3 * g.n + 1, 3))
+
+
+def _is_k4(g: Multigraph) -> bool:
+    # Exact K4 test: all six simple edges, nothing doubled.
+    return g.n == 4 and all(g.neighbors(v) == [u for u in range(4) if u != v] for v in range(4))
 
 
 def _connected(g: Multigraph) -> bool:

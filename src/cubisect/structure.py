@@ -16,8 +16,10 @@ drive the monochromatic-edge formula.
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress, islice
+from operator import eq
 
 from .errors import PartitionError
 from .multigraph import Multigraph
@@ -94,23 +96,26 @@ def find_blocks(g: Multigraph) -> StructurePartition:
             vertex_to_block[v] = len(blocks)
         blocks.append(block)
 
-    nbrs = g.neighbors
-    # Pairs joined by parallel edges, as (u, v, multiplicity) with u < v,
-    # in increasing order.
-    doubled = []
-    for u in range(n):
-        run = nbrs(u)
-        if len(set(run)) < len(run):
-            doubled.extend((u, v, m) for v, m in Counter(run).items() if m >= 2 and v > u)
+    start, nbr = g._start, g._nbr
+    # Pairs joined by parallel edges, as (u, v) -> multiplicity with u < v,
+    # in increasing order: a slot equal to the one before it, inside the
+    # same sorted run, repeats a neighbor.
+    doubled: dict[tuple[int, int], int] = {}
+    for j in compress(range(1, len(nbr)), map(eq, nbr, islice(nbr, 1, None))):
+        u = bisect_right(start, j) - 1
+        v = nbr[j]
+        if start[u] != j and v > u:
+            doubled[u, v] = doubled.get((u, v), 1) + 1
 
-    for u, v, m in doubled:
+    for (u, v), m in doubled.items():
         if m == 3:
             claim(Block(DIGON, (u, v), digon_multiplicity=3))
 
-    for u, v, m in doubled:
+    for (u, v), m in doubled.items():
         if m != 2:
             continue
-        common = sorted(set(nbrs(u)).intersection(nbrs(v)))
+        near_u = set(nbr[start[u] : start[u + 1]])
+        common = sorted(near_u.intersection(nbr[start[v] : start[v + 1]]))
         if len(common) > 1:
             raise PartitionError(f"doubled edge ({u}, {v}) has {len(common)} common neighbors")
         if common:
@@ -124,16 +129,16 @@ def find_blocks(g: Multigraph) -> StructurePartition:
     for b in range(n):
         if covered[b]:
             continue
-        near_b = nbrs(b)
+        near_b = nbr[start[b] : start[b + 1]]
         for c in near_b:
             if c < b or covered[c]:
                 continue
-            near_c = nbrs(c)
+            near_c = nbr[start[c] : start[c + 1]]
             common = [w for w in near_b if not covered[w] and w in near_c]
             if len(common) != 2:
                 continue
             a, d = common
-            if d in nbrs(a):
+            if d in nbr[start[a] : start[a + 1]]:
                 # All six pairs present: an induced K4, which has no block cover.
                 raise PartitionError(f"vertices ({a}, {b}, {c}, {d}) induce K4")
             claim(Block(DIAMOND, (a, b, c, d)))
@@ -142,12 +147,12 @@ def find_blocks(g: Multigraph) -> StructurePartition:
     for v in range(n):
         if covered[v]:
             continue
-        near = [u for u in nbrs(v) if not covered[u]]
+        near = [u for u in nbr[start[v] : start[v + 1]] if not covered[u]]
         tris = [
             (u, w)
             for i, u in enumerate(near)
             for w in near[i + 1 :]
-            if w in nbrs(u)
+            if w in nbr[start[u] : start[u + 1]]
         ]
         if len(tris) != 1:
             raise PartitionError(

@@ -126,7 +126,7 @@ def test_desired_checks_diamond_total(fixtures):
 
 
 def test_json_roundtrip():
-    obj = bisection_to_json(PRISM, PRISM_GOOD)
+    obj = bisection_to_json(PRISM_GOOD, mono_stats(PRISM, PRISM_GOOD))
     assert obj == {
         "black": [0, 1, 5],
         "white": [2, 3, 4],

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from cubisect import (
@@ -8,7 +10,9 @@ from cubisect import (
     LiftError,
     Multigraph,
     NotApplicable,
+    PartitionError,
     ReductionError,
+    StructurePartition,
     desired_bisection_csp,
     find_blocks,
     formula_minimum,
@@ -22,6 +26,8 @@ from cubisect import (
     ring_of_diamonds,
     validate,
 )
+from cubisect.bisection import DIAMOND_ONE_MONO
+from cubisect.construct import require_cover, require_in_class
 
 # diamond 0..3 feeding a triangle 4..6 whose two free corners close a
 # second path into a trumpet 7..9; reducing the diamond doubles the
@@ -40,6 +46,18 @@ SPREAD12 = Multigraph(
      (7, 8), (7, 9), (8, 9), (10, 11), (10, 11), (0, 4), (3, 7),
      (5, 10), (6, 8), (9, 11)],
 )
+
+
+def assert_desired_but_for_the_flip(g, bis):
+    """bis is desired for even k; for odd k its one violation is the
+    canonical diamond, the one colored with two monochromatic edges."""
+    part = find_blocks(g)
+    ok, violations = is_desired(g, part, bis)
+    if part.k % 2 == 0:
+        assert ok and violations == []
+    else:
+        canonical = min(part.diamond_blocks, key=lambda blk: blk.vertices)
+        assert violations == [(DIAMOND_ONE_MONO, canonical.vertices)]
 
 
 def test_csp_finds_desired_bisection_even_k(corpus):
@@ -104,10 +122,10 @@ def test_odd_k_doubles_only_the_canonical_diamond(odd_k_corpus, fixtures):
 def test_min_bisection_at_scale(make):
     g = make()
     part = find_blocks(g)
-    _, cert = min_bisection(g)
+    bis, cert = min_bisection(g)
     assert cert.epsilon == formula_minimum(g.n, part.k, part.p) == part.k + part.t + part.k % 2
     assert cert.is_valid_2bisection
-    assert cert.is_desired == (part.k % 2 == 0)
+    assert_desired_but_for_the_flip(g, bis)
 
 
 def test_reduce_into_triple_edge(fixtures):
@@ -197,8 +215,13 @@ def test_min_bisection_fixture_values(fixtures):
         assert cert.epsilon == cert.formula_value
         assert cert.is_valid_2bisection
         assert cert.epsilon % 2 == 0
-        if cert.parity == 0:
-            assert cert.is_desired
+        assert_desired_but_for_the_flip(fixtures[name], bis)
+
+
+def test_min_bisection_is_desired_but_for_the_flip_on_corpus(corpus):
+    for _, g in corpus:
+        bis, _ = min_bisection(g)
+        assert_desired_but_for_the_flip(g, bis)
 
 
 def test_min_bisection_rejects_k4(fixtures):
@@ -234,6 +257,54 @@ def test_min_bisection_rejects_exactly_out_of_class(fixtures):
             min_bisection(g)
         assert info.value.report == report
         assert ("four vertices" in str(info.value)) == report.is_k4
+
+
+def _gate_outcome(gate, g):
+    """The cover a gate returns, or the type, message and report it raises."""
+    try:
+        return gate(g)
+    except (NotApplicable, PartitionError) as exc:
+        report = exc.report.to_json() if isinstance(exc, NotApplicable) else None
+        return type(exc), str(exc), report
+
+
+def _validate_then_cover(g):
+    require_in_class(g)
+    return find_blocks(g)
+
+
+def _stub_matching(rng, n):
+    """A random cubic multigraph on n vertices from a matching of 3n
+    stubs; loops are dropped, which leaves some vertices of degree 1."""
+    stubs = [v for v in range(n) for _ in range(3)]
+    rng.shuffle(stubs)
+    return Multigraph(n, [(u, v) for u, v in zip(stubs[::2], stubs[1::2]) if u != v])
+
+
+def test_require_cover_matches_validate_then_cover(fixtures, corpus):
+    rng = random.Random(7)
+    prism = fixtures["prism"].edge_list()
+    graphs = [
+        *fixtures.values(),
+        *(g for _, g in corpus),
+        Multigraph(12, prism + [(u + 6, v + 6) for u, v in prism]),
+        Multigraph(4, [(0, 1)] * 3 + [(2, 3)] * 3),
+        Multigraph(4, [(0, 1), (0, 2), (0, 3)]),
+        Multigraph(3, [(0, 1), (1, 2), (0, 2)]),
+        Multigraph(1, []),
+        *(_stub_matching(rng, n) for n in range(2, 24, 2) for _ in range(150)),
+    ]
+    outcomes = {"cover": 0, "clawed": 0}
+    for g in graphs:
+        got = _gate_outcome(require_cover, g)
+        assert got == _gate_outcome(_validate_then_cover, g), g.edge_list()
+        report = validate(g)
+        if report.is_cubic and report.is_connected and not report.is_claw_free:
+            outcomes["clawed"] += 1
+            with pytest.raises(PartitionError):
+                find_blocks(g)
+        outcomes["cover"] += isinstance(got, StructurePartition)
+    assert min(outcomes.values()) >= 100, outcomes
 
 
 def test_certificate_json(fixtures):
