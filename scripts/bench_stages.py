@@ -7,7 +7,7 @@ Usage: python scripts/bench_stages.py
 Each rung is one generated instance per parity of the diamond count k,
 from a fixed recipe seed, so runs compare from commit to commit. The
 stages are the ones `min_bisection` and the CLI run: parse, validate (the
-class gate's checks before the cover: cubic, connected, not K4),
+class gate's connectivity test; find_blocks checks the rest),
 find_blocks, construct (the Euler walk), certify (mono_stats and
 is_2bisection) and serialize (the bisection JSON). For each stage the
 file records the best wall time of REPEAT runs and, from one more run
@@ -43,7 +43,7 @@ from cubisect import (  # noqa: E402
     mono_stats,
     parse_graph,
 )
-from cubisect.multigraph import cubic_connected_not_k4  # noqa: E402
+from cubisect.multigraph import is_connected  # noqa: E402
 
 SIZES = (1000, 10_000, 100_000, 480_000)
 SEED = 1
@@ -84,7 +84,7 @@ def pipeline(text: str):
         state["g"] = parse_graph(text)
 
     def check():
-        cubic_connected_not_k4(state["g"])
+        is_connected(state["g"])
 
     def blocks():
         state["part"] = find_blocks(state["g"])

@@ -15,7 +15,6 @@ from .bisection import (
     is_2bisection,
     is_desired,
     mono_stats,
-    parity_check,
 )
 from .construct import (
     BisectionCertificate,
@@ -95,7 +94,6 @@ __all__ = [
     "min_bisection",
     "mono_stats",
     "oracle_min",
-    "parity_check",
     "parse_graph",
     "ring_of_diamonds",
     "triangles",

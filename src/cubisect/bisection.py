@@ -171,18 +171,6 @@ def is_desired(
     return (not violations, violations)
 
 
-def parity_check(g: Multigraph, b: Bisection) -> bool:
-    """True iff the black and white monochromatic counts agree.
-
-    Each color class of a balanced coloring of a cubic multigraph offers
-    3n/2 edge endpoints, so the bichromatic edge count seen from black is
-    3n/2 - 2*epsilon_black and likewise for white; both sides see the same
-    bichromatic edges, forcing epsilon_black = epsilon_white.
-    """
-    stats = mono_stats(g, b)
-    return stats.epsilon_black == stats.epsilon_white
-
-
 def bisection_to_json(b: Bisection, stats: MonoStats) -> dict:
     """The JSON form of b with its counts, as mono_stats gave them for b."""
     return {

@@ -12,9 +12,10 @@ carry exactly two monochromatic edges. Diamond removal and splicing
 (``reduce_diamond`` and ``lift``) are the proof device for the odd case
 and are kept for the tests that check it.
 
-``require_cover`` is the class gate: on a cubic connected graph other
-than K4 the block cover exists exactly when the graph is claw-free, so
-the claw search runs only when the cover fails, to build the report.
+``require_cover`` is the class gate: a cubic graph has a block cover
+exactly when it has no claw and no K4 component, so the cover plus the
+connectivity test decide the class, and the claw search runs only when
+they fail, to build the report.
 ``min_bisection`` certifies its coloring with one ``mono_stats`` and one
 ``is_2bisection`` pass; for even k a count equal to the formula already
 makes the coloring desired.
@@ -33,7 +34,7 @@ from .errors import (
     ReductionError,
     SearchExhausted,
 )
-from .multigraph import Multigraph, cubic_connected_not_k4, format_graph, validate
+from .multigraph import Multigraph, format_graph, is_connected, validate
 from .structure import DIAMOND, DIGON, TRIANGLE, TRUMPET, Block, StructurePartition, find_blocks
 
 
@@ -364,20 +365,20 @@ def require_cover(g: Multigraph) -> StructurePartition:
     """The block cover of g; raises NotApplicable, with the same report,
     wherever require_in_class does.
 
-    A cubic graph with a block cover is claw-free: each vertex lies in a
-    triangle, whose other two corners are adjacent, or on a parallel edge,
-    which leaves it at most two distinct neighbors. So for a connected
-    cubic graph other than K4 the cover decides the class, and the claw
-    search of validate runs only when the cover fails, to build the
-    report. A PartitionError on an in-class graph propagates.
+    find_blocks refuses a graph that is not cubic or has a claw or a K4
+    component, so a cover of a connected graph proves it in class, and
+    the claw search of validate runs only when the cover or the
+    connectivity test fails, to build the report. A PartitionError on an
+    in-class graph propagates.
     """
-    if not cubic_connected_not_k4(g):
-        require_in_class(g)  # raises: g fails one of validate's tests
     try:
-        return find_blocks(g)
+        part = find_blocks(g)
     except PartitionError:
         require_in_class(g)
         raise
+    if not is_connected(g):
+        require_in_class(g)  # raises: g is not connected
+    return part
 
 
 def min_bisection(g: Multigraph) -> tuple[Bisection, BisectionCertificate]:

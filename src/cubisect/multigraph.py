@@ -193,25 +193,16 @@ def validate(g: Multigraph) -> ValidationReport:
     """
     witness = _find_claw(g)
     return ValidationReport(
-        is_cubic=_is_cubic(g),
-        is_connected=_connected(g),
+        is_cubic=is_cubic(g),
+        is_connected=is_connected(g),
         is_claw_free=witness is None,
         is_k4=_is_k4(g),
         claw_witness=witness,
     )
 
 
-def cubic_connected_not_k4(g: Multigraph) -> bool:
-    """validate's tests other than the claw search, as one verdict.
-
-    For a graph that passes them, a block cover exists exactly when it is
-    claw-free, so the class gate pairs this with the cover and runs the
-    claw search only to report a failure.
-    """
-    return _is_cubic(g) and _connected(g) and not _is_k4(g)
-
-
-def _is_cubic(g: Multigraph) -> bool:
+def is_cubic(g: Multigraph) -> bool:
+    """True iff every vertex has degree 3."""
     return g._start == list(range(0, 3 * g.n + 1, 3))
 
 
@@ -220,7 +211,8 @@ def _is_k4(g: Multigraph) -> bool:
     return g.n == 4 and all(g.neighbors(v) == [u for u in range(4) if u != v] for v in range(4))
 
 
-def _connected(g: Multigraph) -> bool:
+def is_connected(g: Multigraph) -> bool:
+    """True iff every vertex is reachable from vertex 0."""
     start, nbr = g._start, g._nbr
     seen = [False] * g.n
     seen[0] = True

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .bisection import Bisection, is_desired
-from .errors import InternalInvariantError, TooLarge
-from .multigraph import Multigraph, validate
-from .structure import StructurePartition, find_blocks
+from .construct import require_cover
+from .errors import InternalInvariantError, NotApplicable, TooLarge
+from .multigraph import Multigraph
+from .structure import StructurePartition
 
 DEFAULT_LIMIT = 16
 HARD_CAP = 24
@@ -47,7 +48,10 @@ class OracleResult:
 
 
 def _structure_or_none(g: Multigraph) -> StructurePartition | None:
-    return find_blocks(g) if validate(g).in_class else None
+    try:
+        return require_cover(g)
+    except NotApplicable:
+        return None
 
 
 def oracle_min(g: Multigraph, limit: int = DEFAULT_LIMIT) -> OracleResult:

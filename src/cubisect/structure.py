@@ -11,18 +11,20 @@ in exactly one of four block types:
 
 ``find_blocks`` computes this cover, which is unique, and reports the
 block counts k (diamonds), t (triangles + trumpets), p (digons) that
-drive the monochromatic-edge formula.
+drive the monochromatic-edge formula. It follows the structure locally:
+each vertex's role is read off its own three neighbors, a repeated one
+meaning a digon or trumpet and otherwise the count of adjacent pairs
+among them, 2 on a diamond's shared side and 1 anywhere else. A count of
+0 is a claw and 3 a K4 component; a cubic graph has the cover exactly
+when neither occurs, so the cover is also the class gate's claw test.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress, islice
-from operator import eq
 
 from .errors import PartitionError
-from .multigraph import Multigraph
+from .multigraph import Multigraph, is_cubic
 
 DIAMOND = "diamond"
 TRIANGLE = "triangle"
@@ -71,106 +73,83 @@ class StructurePartition:
 
 
 def find_blocks(g: Multigraph) -> StructurePartition:
-    """Compute the unique block cover of a connected claw-free cubic
-    multigraph other than K4.
+    """Compute the unique block cover of a cubic multigraph, one vertex at
+    a time from its sorted run x <= y <= z.
 
-    Classification runs in a fixed order: triple edges, then doubled edges
-    with a common neighbor (trumpets), then remaining doubled edges
-    (digons), then simple edges lying in two triangles (diamonds), then
-    one triangle per leftover vertex. Any overlap, ambiguity, or uncovered
-    vertex raises PartitionError: the input violated a precondition (for
-    instance it hides a claw) rather than the partition being optional.
+    * x == z: a triple digon (v, x), listed at its smaller end.
+    * x == y or y == z: v is on a doubled pair with u and r is its third
+      neighbor; a trumpet (r, v, u) if r is u's third neighbor too, else a
+      digon (v, u), listed at v < u.
+    * a simple run, by the count of adjacent pairs among x, y, z:
+      0, v centers a claw; 3, v lies in a K4 component (both raise);
+      2, v is on a diamond's shared side with the neighbor h adjacent to
+      the other two, a < d, giving (a, min(v, h), max(v, h), d) at v < h;
+      1, v lies in one triangle (v, p, q), a block when p and q have simple
+      runs and share no neighbor but v (else v is a diamond's outer corner
+      or a trumpet's apex), listed at v < p < q.
+
+    Blocks come as triple digons, doubled pairs, diamonds, then triangles,
+    each group in the order of the vertex that lists it. A vertex on a
+    parallel edge has at most two distinct neighbors, so the rule raises
+    PartitionError exactly on a claw or a K4 component; otherwise it finds
+    the cover, and a last pass checks that it covers every vertex once. A
+    graph that is not cubic raises PartitionError too.
     """
     n = g.n
-    covered = [False] * n
-    vertex_to_block = [-1] * n
-    blocks: list[Block] = []
+    if not is_cubic(g):
+        raise PartitionError("graph is not cubic")
+    nbr = g._nbr
+    triples: list[Block] = []
+    pairs: list[Block] = []
+    diamonds: list[Block] = []
+    triangles: list[Block] = []
+    for v in range(n):
+        x, y, z = nbr[3 * v : 3 * v + 3]
+        if x == z:
+            if v < x:
+                triples.append(Block(DIGON, (v, x), digon_multiplicity=3))
+        elif x == y or y == z:
+            u, r = (x, z) if x == y else (z, x)
+            if v < u:
+                if r in nbr[3 * u : 3 * u + 3]:
+                    pairs.append(Block(TRUMPET, (r, v, u)))
+                else:
+                    pairs.append(Block(DIGON, (v, u), digon_multiplicity=2))
+        else:
+            near_x = nbr[3 * x : 3 * x + 3]
+            xy, xz, yz = y in near_x, z in near_x, z in nbr[3 * y : 3 * y + 3]
+            count = xy + xz + yz
+            if count == 0:
+                raise PartitionError(f"vertex {v} centers a claw ({x}, {y}, {z})")
+            if count == 3:
+                raise PartitionError(f"vertices ({v}, {x}, {y}, {z}) induce K4")
+            if count == 2:
+                h, a, d = (x, y, z) if xy and xz else (y, x, z) if yz and xy else (z, x, y)
+                if v < h:
+                    diamonds.append(Block(DIAMOND, (a, v, h, d)))
+            else:
+                p, q = (x, y) if xy else (x, z) if xz else (y, z)
+                # p and q see v, each other and one vertex each: five in
+                # all iff both runs are simple and those two differ.
+                if v < p and len({*nbr[3 * p : 3 * p + 3], *nbr[3 * q : 3 * q + 3]}) == 5:
+                    triangles.append(Block(TRIANGLE, (v, p, q)))
 
-    def claim(block: Block) -> None:
+    blocks = triples + pairs + diamonds + triangles
+    vertex_to_block = [-1] * n
+    for i, block in enumerate(blocks):
         for v in block.vertices:
-            if covered[v]:
+            if vertex_to_block[v] != -1:
                 raise PartitionError(
                     f"vertex {v} claimed by two blocks ({block.kind} {block.vertices})"
                 )
-            covered[v] = True
-            vertex_to_block[v] = len(blocks)
-        blocks.append(block)
-
-    start, nbr = g._start, g._nbr
-    # Pairs joined by parallel edges, as (u, v) -> multiplicity with u < v,
-    # in increasing order: a slot equal to the one before it, inside the
-    # same sorted run, repeats a neighbor.
-    doubled: dict[tuple[int, int], int] = {}
-    for j in compress(range(1, len(nbr)), map(eq, nbr, islice(nbr, 1, None))):
-        u = bisect_right(start, j) - 1
-        v = nbr[j]
-        if start[u] != j and v > u:
-            doubled[u, v] = doubled.get((u, v), 1) + 1
-
-    for (u, v), m in doubled.items():
-        if m == 3:
-            claim(Block(DIGON, (u, v), digon_multiplicity=3))
-
-    for (u, v), m in doubled.items():
-        if m != 2:
-            continue
-        near_u = set(nbr[start[u] : start[u + 1]])
-        common = sorted(near_u.intersection(nbr[start[v] : start[v + 1]]))
-        if len(common) > 1:
-            raise PartitionError(f"doubled edge ({u}, {v}) has {len(common)} common neighbors")
-        if common:
-            claim(Block(TRUMPET, (common[0], u, v)))
-        else:
-            claim(Block(DIGON, (u, v), digon_multiplicity=2))
-
-    # Every vertex on a parallel edge is covered now, so the runs of the
-    # uncovered vertices below hold no repeats and every pair among them
-    # is simple.
-    for b in range(n):
-        if covered[b]:
-            continue
-        near_b = nbr[start[b] : start[b + 1]]
-        for c in near_b:
-            if c < b or covered[c]:
-                continue
-            near_c = nbr[start[c] : start[c + 1]]
-            common = [w for w in near_b if not covered[w] and w in near_c]
-            if len(common) != 2:
-                continue
-            a, d = common
-            if d in nbr[start[a] : start[a + 1]]:
-                # All six pairs present: an induced K4, which has no block cover.
-                raise PartitionError(f"vertices ({a}, {b}, {c}, {d}) induce K4")
-            claim(Block(DIAMOND, (a, b, c, d)))
-            break
-
-    for v in range(n):
-        if covered[v]:
-            continue
-        near = [u for u in nbr[start[v] : start[v + 1]] if not covered[u]]
-        tris = [
-            (u, w)
-            for i, u in enumerate(near)
-            for w in near[i + 1 :]
-            if w in nbr[start[u] : start[u + 1]]
-        ]
-        if len(tris) != 1:
-            raise PartitionError(
-                f"vertex {v} lies in {len(tris)} candidate triangles, expected 1"
-            )
-        u, w = tris[0]
-        claim(Block(TRIANGLE, tuple(sorted((v, u, w)))))
-
-    k = sum(1 for b in blocks if b.kind == DIAMOND)
-    t = sum(1 for b in blocks if b.kind in (TRIANGLE, TRUMPET))
-    p = sum(1 for b in blocks if b.kind == DIGON)
-    if 4 * k + 3 * t + 2 * p != n:
-        raise PartitionError(f"block counts ({k}, {t}, {p}) do not cover n={n}")
+            vertex_to_block[v] = i
+    if -1 in vertex_to_block:
+        raise PartitionError(f"vertex {vertex_to_block.index(-1)} lies in no block")
     return StructurePartition(
         blocks=tuple(blocks),
-        k=k,
-        t=t,
-        p=p,
+        k=len(diamonds),
+        t=len(triangles) + sum(1 for b in pairs if b.kind == TRUMPET),
+        p=len(triples) + sum(1 for b in pairs if b.kind == DIGON),
         vertex_to_block=tuple(vertex_to_block),
     )
 

@@ -1,15 +1,21 @@
 """Test-side reimplementations used to cross-check library results.
 
 These deliberately avoid the library's internal shortcuts: component
-sizes come from an actual flood fill, and the tiny brute-force minimum
-below enumerates colorings directly instead of reusing the oracle.
+sizes come from an actual flood fill, the tiny brute-force minimum
+below enumerates colorings directly instead of reusing the oracle, and
+``reference_find_blocks`` finds the block cover by the ordered searches
+that the one-pass local rule of ``find_blocks`` replaced.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
+from itertools import compress, islice
+from operator import eq
 
-from cubisect import Multigraph
+from cubisect import Block, Multigraph, PartitionError, StructurePartition
+from cubisect.structure import DIAMOND, DIGON, TRIANGLE, TRUMPET
 
 
 def same_color_component_sizes(g: Multigraph, colors) -> list[int]:
@@ -57,3 +63,108 @@ def balanced_colorings(n: int):
     for rest in itertools.combinations(range(1, n), n // 2 - 1):
         black = {0, *rest}
         yield tuple(0 if v in black else 1 for v in range(n))
+
+
+def reference_find_blocks(g: Multigraph) -> StructurePartition:
+    """Compute the unique block cover of a connected claw-free cubic
+    multigraph other than K4.
+
+    Classification runs in a fixed order: triple edges, then doubled edges
+    with a common neighbor (trumpets), then remaining doubled edges
+    (digons), then simple edges lying in two triangles (diamonds), then
+    one triangle per leftover vertex. Any overlap, ambiguity, or uncovered
+    vertex raises PartitionError: the input violated a precondition (for
+    instance it hides a claw) rather than the partition being optional.
+    """
+    n = g.n
+    covered = [False] * n
+    vertex_to_block = [-1] * n
+    blocks: list[Block] = []
+
+    def claim(block: Block) -> None:
+        for v in block.vertices:
+            if covered[v]:
+                raise PartitionError(
+                    f"vertex {v} claimed by two blocks ({block.kind} {block.vertices})"
+                )
+            covered[v] = True
+            vertex_to_block[v] = len(blocks)
+        blocks.append(block)
+
+    start, nbr = g._start, g._nbr
+    # Pairs joined by parallel edges, as (u, v) -> multiplicity with u < v,
+    # in increasing order: a slot equal to the one before it, inside the
+    # same sorted run, repeats a neighbor.
+    doubled: dict[tuple[int, int], int] = {}
+    for j in compress(range(1, len(nbr)), map(eq, nbr, islice(nbr, 1, None))):
+        u = bisect_right(start, j) - 1
+        v = nbr[j]
+        if start[u] != j and v > u:
+            doubled[u, v] = doubled.get((u, v), 1) + 1
+
+    for (u, v), m in doubled.items():
+        if m == 3:
+            claim(Block(DIGON, (u, v), digon_multiplicity=3))
+
+    for (u, v), m in doubled.items():
+        if m != 2:
+            continue
+        near_u = set(nbr[start[u] : start[u + 1]])
+        common = sorted(near_u.intersection(nbr[start[v] : start[v + 1]]))
+        if len(common) > 1:
+            raise PartitionError(f"doubled edge ({u}, {v}) has {len(common)} common neighbors")
+        if common:
+            claim(Block(TRUMPET, (common[0], u, v)))
+        else:
+            claim(Block(DIGON, (u, v), digon_multiplicity=2))
+
+    # Every vertex on a parallel edge is covered now, so the runs of the
+    # uncovered vertices below hold no repeats and every pair among them
+    # is simple.
+    for b in range(n):
+        if covered[b]:
+            continue
+        near_b = nbr[start[b] : start[b + 1]]
+        for c in near_b:
+            if c < b or covered[c]:
+                continue
+            near_c = nbr[start[c] : start[c + 1]]
+            common = [w for w in near_b if not covered[w] and w in near_c]
+            if len(common) != 2:
+                continue
+            a, d = common
+            if d in nbr[start[a] : start[a + 1]]:
+                # All six pairs present: an induced K4, which has no block cover.
+                raise PartitionError(f"vertices ({a}, {b}, {c}, {d}) induce K4")
+            claim(Block(DIAMOND, (a, b, c, d)))
+            break
+
+    for v in range(n):
+        if covered[v]:
+            continue
+        near = [u for u in nbr[start[v] : start[v + 1]] if not covered[u]]
+        tris = [
+            (u, w)
+            for i, u in enumerate(near)
+            for w in near[i + 1 :]
+            if w in nbr[start[u] : start[u + 1]]
+        ]
+        if len(tris) != 1:
+            raise PartitionError(
+                f"vertex {v} lies in {len(tris)} candidate triangles, expected 1"
+            )
+        u, w = tris[0]
+        claim(Block(TRIANGLE, tuple(sorted((v, u, w)))))
+
+    k = sum(1 for b in blocks if b.kind == DIAMOND)
+    t = sum(1 for b in blocks if b.kind in (TRIANGLE, TRUMPET))
+    p = sum(1 for b in blocks if b.kind == DIGON)
+    if 4 * k + 3 * t + 2 * p != n:
+        raise PartitionError(f"block counts ({k}, {t}, {p}) do not cover n={n}")
+    return StructurePartition(
+        blocks=tuple(blocks),
+        k=k,
+        t=t,
+        p=p,
+        vertex_to_block=tuple(vertex_to_block),
+    )

@@ -16,7 +16,6 @@ from cubisect import (
     is_2bisection,
     is_desired,
     mono_stats,
-    parity_check,
 )
 from helpers import same_color_component_sizes
 
@@ -47,7 +46,6 @@ def test_prism_stats():
     stats = mono_stats(PRISM, PRISM_GOOD)
     assert (stats.epsilon, stats.epsilon_black, stats.epsilon_white) == (2, 1, 1)
     assert is_2bisection(PRISM, PRISM_GOOD)
-    assert parity_check(PRISM, PRISM_GOOD)
 
 
 def test_mono_stats_counts_multiplicity():

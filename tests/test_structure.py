@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 from cubisect import (
     Multigraph,
     PartitionError,
+    curated_suite,
     diamonds_disjoint_check,
     enumerate_diamonds,
     find_blocks,
     ring_of_diamonds,
+    validate,
 )
+from helpers import reference_find_blocks
 
 
 def test_prism_is_two_triangles(fixtures):
@@ -74,14 +77,71 @@ def test_partition_identity_on_corpus(corpus):
         assert (part.k, part.t, part.p) == (k, t, p)
 
 
-def test_k4_has_no_block_cover(fixtures):
-    with pytest.raises(PartitionError):
-        find_blocks(fixtures["k4"])
+CURATED = dict(curated_suite())
 
 
-def test_clawed_graph_fails(fixtures):
+@pytest.mark.parametrize(
+    "graph",
+    [
+        CURATED["k4"],
+        CURATED["q3"],
+        Multigraph(4, [(0, 1), (0, 2), (0, 3)]),
+        Multigraph(3, [(0, 1), (1, 2), (0, 2)]),
+    ],
+    ids=["k4", "q3", "star", "triangle"],
+)
+def test_no_block_cover(graph):
     with pytest.raises(PartitionError):
-        find_blocks(fixtures["q3"])
+        find_blocks(graph)
+
+
+def _outcome(find, g):
+    try:
+        return find(g)
+    except PartitionError:
+        return PartitionError
+
+
+def _two_switch(rng: random.Random, g: Multigraph) -> Multigraph:
+    """g with edges ab, cd rewired to ac, bd or ad, bc, loops avoided."""
+    edges = g.edge_list()
+    i, j = rng.sample(range(len(edges)), 2)
+    (a, b), (c, d) = edges[i], edges[j]
+    if rng.random() < 0.5:
+        c, d = d, c
+    if a == c or b == d:
+        return g
+    edges[i], edges[j] = (a, c), (b, d)
+    return Multigraph(g.n, edges)
+
+
+def _cubic_matching(rng: random.Random, n: int) -> Multigraph:
+    """A uniform matching of 3n stubs, redrawn until it has no loop."""
+    stubs = [v for v in range(n) for _ in range(3)]
+    while True:
+        rng.shuffle(stubs)
+        pairs = list(zip(stubs[::2], stubs[1::2]))
+        if all(u != v for u, v in pairs):
+            return Multigraph(n, pairs)
+
+
+def test_find_blocks_matches_reference(fixtures, corpus):
+    # partition prints the blocks in find_blocks' order, so the old
+    # ordered search pins the order as well as the cover.
+    rng = random.Random(11)
+    graphs = [*fixtures.values(), *(g for _, g in corpus)]
+    for _, g in corpus:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        graphs.append(g.relabel(perm))
+        switched = _two_switch(rng, g)
+        graphs.append(_two_switch(rng, switched) if rng.random() < 0.5 else switched)
+    graphs += [_cubic_matching(rng, n) for n in range(2, 24, 2) for _ in range(100)]
+    clawed = 0
+    for g in graphs:
+        assert _outcome(find_blocks, g) == _outcome(reference_find_blocks, g), g.edge_list()
+        clawed += not validate(g).is_claw_free
+    assert clawed >= 100, clawed
 
 
 def test_enumerate_diamonds_matches_partition(corpus):
