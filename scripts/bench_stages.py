@@ -9,10 +9,12 @@ from a fixed recipe seed, so runs compare from commit to commit. The
 stages are the ones `min_bisection` and the CLI run: parse, validate (the
 class gate's connectivity test; find_blocks checks the rest),
 find_blocks, construct (the Euler walk), certify (mono_stats and
-is_2bisection) and serialize (the bisection JSON). For each stage the
-file records the best wall time of REPEAT runs and, from one more run
-under tracemalloc, the peak of the traced Python heap while the stage
-runs; results of earlier stages are live then, as in the CLI. Each rung also records the wall time of `cubisect
+is_2bisection), desired (is_desired on the constructed coloring, what
+`cubisect verify` runs beyond certify) and serialize (the bisection
+JSON). For each stage the file records the best wall time of REPEAT
+runs and, from one more run under tracemalloc, the peak of the traced
+Python heap while the stage runs; results of earlier stages are live
+then, as in the CLI. Each rung also records the wall time of `cubisect
 check` and `cubisect bisect` run as child processes, and the child's
 peak resident set (VmHWM, Linux only; null elsewhere).
 """
@@ -40,6 +42,7 @@ from cubisect import (  # noqa: E402
     format_graph,
     generate,
     is_2bisection,
+    is_desired,
     mono_stats,
     parse_graph,
 )
@@ -99,6 +102,9 @@ def pipeline(text: str):
         state["stats"] = mono_stats(g, bis)
         is_2bisection(g, bis)
 
+    def desired():
+        is_desired(state["g"], state["part"], state["bis"])
+
     def serialize():
         json.dumps(bisection_to_json(state["bis"], state["stats"]), indent=2)
 
@@ -108,6 +114,7 @@ def pipeline(text: str):
         ("find_blocks", blocks),
         ("construct", construct),
         ("certify", certify),
+        ("desired", desired),
         ("serialize", serialize),
     ]
 

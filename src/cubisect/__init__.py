@@ -43,15 +43,12 @@ from .multigraph import (
     ValidationReport,
     format_graph,
     parse_graph,
-    triangles,
     validate,
 )
 from .oracle import OracleResult, oracle_min
 from .structure import (
     Block,
     StructurePartition,
-    diamonds_disjoint_check,
-    enumerate_diamonds,
     find_blocks,
 )
 
@@ -82,8 +79,6 @@ __all__ = [
     "bisection_to_json",
     "curated_suite",
     "desired_bisection_csp",
-    "diamonds_disjoint_check",
-    "enumerate_diamonds",
     "find_blocks",
     "format_graph",
     "formula_minimum",
@@ -96,6 +91,5 @@ __all__ = [
     "oracle_min",
     "parse_graph",
     "ring_of_diamonds",
-    "triangles",
     "validate",
 ]

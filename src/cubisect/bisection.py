@@ -12,13 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import GraphFormatError
-from .multigraph import Multigraph, triangles
-from .structure import DIAMOND, StructurePartition
+from .multigraph import Multigraph
+from .structure import DIAMOND, DIGON, TRUMPET, StructurePartition
 
 BLACK = 0
 WHITE = 1
 
-# Condition names used in desired-bisection violation reports.
+# Violation names in is_desired's report: a bad diamond, a bad triangle or
+# trumpet, a bad digon, and a monochromatic edge between two blocks.
 TRIANGLE_ONE_MONO = "triangle_one_mono"
 MONO_IN_TRIANGLE = "mono_edge_in_triangle"
 DIAMOND_ONE_MONO = "diamond_one_mono"
@@ -117,57 +118,51 @@ def is_2bisection(g: Multigraph, b: Bisection) -> bool:
 def is_desired(
     g: Multigraph, part: StructurePartition, b: Bisection
 ) -> tuple[bool, list[Violation]]:
-    """Check the four conditions of a desired bisection, reporting every
+    """Check that b is desired on the block cover part, reporting every
     violation rather than the first.
 
-    * every triangle of g (including both triangles of a diamond and the
-      triangle of a trumpet) contains exactly one monochromatic edge;
-    * every monochromatic edge lies in a triangle;
-    * every diamond contains exactly one monochromatic edge;
-    * no parallel edge is monochromatic.
+    Each diamond, triangle and trumpet holds a triangle and the blocks are
+    disjoint, so any coloring has at least k+t monochromatic edges; b is
+    desired when it has exactly that many, which holds iff
 
-    Mono counts use multiplicity, consistent with epsilon.
+    * each diamond (a, x, y, d) has only its shared side xy monochromatic;
+    * each triangle and each trumpet has one monochromatic edge, counted
+      with multiplicity: a triangle is not all one color, and a trumpet's
+      doubled pair is bichromatic;
+    * each digon is bichromatic;
+    * each edge between two blocks is bichromatic.
+
+    A bad block is reported with its vertices in role order, a bad
+    inter-block edge as (u, v) with u < v; blocks come first, in cover
+    order, then edges.
     """
     if b.n != g.n:
         raise ValueError(f"coloring covers {b.n} vertices, graph has {g.n}")
-    nbrs = g.neighbors
     colors = b.colors
     violations: list[Violation] = []
-
-    def mono(u: int, v: int) -> int:
-        return nbrs(u).count(v) if colors[u] == colors[v] else 0
-
-    for u, v, w in triangles(g):
-        if mono(u, v) + mono(u, w) + mono(v, w) != 1:
-            violations.append((TRIANGLE_ONE_MONO, (u, v, w)))
-
-    # One pass over the monochromatic pairs u < v, in edge order, for the
-    # second and the fourth condition; the fourth's violations are held
-    # back so the report keeps the order of the conditions.
-    outside: list[Violation] = []
-    parallel: list[Violation] = []
-    for u in range(g.n):
-        c = colors[u]
-        near_u = nbrs(u)
-        same = [v for v in near_u if v > u and colors[v] == c]
-        for v in dict.fromkeys(same):
-            if set(near_u).isdisjoint(nbrs(v)):
-                outside.append((MONO_IN_TRIANGLE, (u, v)))
-            if same.count(v) >= 2:
-                parallel.append((MULTI_EDGE_NOT_MONO, (u, v)))
-    violations += outside
-
     for block in part.blocks:
-        if block.kind != DIAMOND:
-            continue
-        a, bb, cc, d = block.vertices
-        count = sum(
-            mono(x, y) for x, y in ((a, bb), (a, cc), (bb, cc), (bb, d), (cc, d))
-        )
-        if count != 1:
-            violations.append((DIAMOND_ONE_MONO, block.vertices))
+        vs = block.vertices
+        if block.kind == DIAMOND:
+            a, x, y, d = vs
+            if not colors[a] == colors[d] != colors[x] == colors[y]:
+                violations.append((DIAMOND_ONE_MONO, vs))
+        elif block.kind == DIGON:
+            if colors[vs[0]] == colors[vs[1]]:
+                violations.append((MULTI_EDGE_NOT_MONO, vs))
+        else:
+            w, x, y = vs
+            # A trumpet is bad when its doubled pair x, y agrees, a triangle
+            # when all three corners do.
+            if colors[x] == colors[y] and (block.kind == TRUMPET or colors[w] == colors[x]):
+                violations.append((TRIANGLE_ONE_MONO, vs))
 
-    violations += parallel
+    block_of = part.vertex_to_block
+    start, nbr = g._start, g._nbr
+    for u in range(g.n):
+        c, home = colors[u], block_of[u]
+        for v in nbr[start[u] : start[u + 1]]:
+            if v > u and colors[v] == c and block_of[v] != home:
+                violations.append((MONO_IN_TRIANGLE, (u, v)))
     return (not violations, violations)
 
 

@@ -17,7 +17,7 @@ import sys
 
 from .bisection import BLACK, bisection_from_json, bisection_to_json, is_2bisection, is_desired, mono_stats
 from .construct import min_bisection, require_cover
-from .errors import GraphFormatError, NotApplicable, PartitionError, TooLarge, Unsatisfiable
+from .errors import GraphFormatError, NotApplicable, TooLarge, Unsatisfiable
 from .generator import BlockRecipe, generate
 from .multigraph import Multigraph, format_graph, parse_graph, validate
 from .oracle import DEFAULT_LIMIT, HARD_CAP, oracle_min
@@ -234,7 +234,7 @@ def run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(_json_text(exc.report.to_json()), end="", file=sys.stderr)
         return 2
-    except (TooLarge, Unsatisfiable, PartitionError, ValueError) as exc:
+    except (TooLarge, Unsatisfiable, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

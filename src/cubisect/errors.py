@@ -14,7 +14,9 @@ class GraphFormatError(ValueError):
 
 class PartitionError(RuntimeError):
     """The vertex set cannot be covered by diamond/triangle/trumpet/digon
-    blocks; signals a violated precondition such as a hidden claw."""
+    blocks: the graph is not cubic, or has a claw or a K4 component. The
+    class gate turns it into NotApplicable, so one that reaches the CLI
+    on an in-class graph is a bug and exits 3."""
 
 
 class NotApplicable(RuntimeError):

@@ -259,23 +259,6 @@ def _find_claw(g: Multigraph) -> tuple[int, int, int, int] | None:
     return None
 
 
-def triangles(g: Multigraph) -> list[tuple[int, int, int]]:
-    """All vertex triples u < v < w with the three pairs adjacent."""
-    start, nbr = g._start, g._nbr
-    out = []
-    for u in range(g.n):
-        end = start[u + 1]
-        higher = nbr[bisect_right(nbr, u, start[u], end) : end]
-        if len(higher) < 2:
-            continue
-        if len(set(higher)) < len(higher):
-            higher = list(dict.fromkeys(higher))
-        for v, w in combinations(higher, 2):
-            if w in nbr[start[v] : start[v + 1]]:
-                out.append((u, v, w))
-    return out
-
-
 # -- text format -----------------------------------------------------------
 #
 #   # optional comment lines (the first non-blank character is #)

@@ -2,8 +2,10 @@
 
 Enumerates every balanced bipartition of a cubic multigraph, filters to
 2-bisections, and reports the minimum monochromatic count along with how
-many bipartitions attain it and whether any coloring meets the stricter
-per-block conditions used by the constructor.
+many bipartitions attain it and whether a desired coloring exists. Every
+balanced coloring of a graph with a block cover has at least k+t
+monochromatic edges, and the desired ones are exactly those with k+t, so
+that last answer is read off the minimum.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .bisection import Bisection, is_desired
 from .construct import require_cover
 from .errors import InternalInvariantError, NotApplicable, TooLarge
 from .multigraph import Multigraph
@@ -27,10 +28,12 @@ class OracleResult:
     """Outcome of the exhaustive sweep.
 
     min_epsilon is None when the graph has no 2-bisection at all.
-    optima_count counts unordered bipartitions (a coloring and its global
-    swap are the same bipartition). enumerated counts all balanced
-    colorings covered, i.e. C(n, n/2); the sweep examines half of them
-    and lets symmetry supply the rest.
+    desired_exists holds iff the graph has a block cover and min_epsilon
+    equals its k+t, the bound every coloring meets. optima_count counts
+    unordered bipartitions (a coloring and its global swap are the same
+    bipartition). enumerated counts all balanced colorings covered, i.e.
+    C(n, n/2); the sweep examines half of them and lets symmetry supply
+    the rest.
     """
 
     min_epsilon: int | None
@@ -57,10 +60,9 @@ def _structure_or_none(g: Multigraph) -> StructurePartition | None:
 def oracle_min(g: Multigraph, limit: int = DEFAULT_LIMIT) -> OracleResult:
     """Brute-force minimum monochromatic count over all 2-bisections.
 
-    Accepts any cubic multigraph, claw-free or not; the per-block
-    desired-coloring existence question is answered only when the graph
-    decomposes into blocks, and is False otherwise. Vertex 0 is pinned
-    black, which covers every unordered bipartition exactly once.
+    Accepts any cubic multigraph, claw-free or not; desired_exists is
+    False unless the graph has a block cover. Vertex 0 is pinned black,
+    which covers every unordered bipartition exactly once.
     """
     if limit > HARD_CAP:
         raise ValueError(f"limit {limit} exceeds the hard cap of {HARD_CAP}")
@@ -71,27 +73,15 @@ def oracle_min(g: Multigraph, limit: int = DEFAULT_LIMIT) -> OracleResult:
         raise TooLarge(f"n = {g.n} exceeds the search budget of {limit}")
 
     n = g.n
-    part = _structure_or_none(g)
-
     nbr = [0] * n
     for v in range(n):
         for u in g.distinct_neighbors(v):
             nbr[v] |= 1 << u
     pairs = g.edge_pairs()
 
-    # In any coloring meeting the per-block conditions, parallel edges and
-    # edges joining two blocks are bichromatic; cheap masks prefilter the
-    # candidates worth a full check.
-    forced_bichromatic: list[int] = []
-    if part is not None:
-        for u, v, m in pairs:
-            if m >= 2 or part.vertex_to_block[u] != part.vertex_to_block[v]:
-                forced_bichromatic.append((1 << u) | (1 << v))
-
     full = (1 << n) - 1
     best: int | None = None
     optima = 0
-    desired_exists = False
 
     for rest in combinations(range(1, n), n // 2 - 1):
         mask = 1
@@ -126,15 +116,10 @@ def oracle_min(g: Multigraph, limit: int = DEFAULT_LIMIT) -> OracleResult:
         elif eps == best:
             optima += 1
 
-        if part is not None and not desired_exists:
-            if all(0 < (mask & fb) < fb for fb in forced_bichromatic):
-                b = Bisection(tuple(0 if (mask >> v) & 1 else 1 for v in range(n)))
-                if is_desired(g, part, b)[0]:
-                    desired_exists = True
-
+    part = _structure_or_none(g)
     return OracleResult(
         min_epsilon=best,
         optima_count=optima,
-        desired_exists=desired_exists,
+        desired_exists=part is not None and best == part.k + part.t,
         enumerated=math.comb(n, n // 2),
     )

@@ -152,38 +152,3 @@ def find_blocks(g: Multigraph) -> StructurePartition:
         p=len(triples) + sum(1 for b in pairs if b.kind == DIGON),
         vertex_to_block=tuple(vertex_to_block),
     )
-
-
-def enumerate_diamonds(g: Multigraph) -> list[frozenset[int]]:
-    """Vertex sets of all induced diamonds (K4 minus an edge) in g.
-
-    Scans shared sides directly rather than reusing find_blocks, so it also
-    works on graphs where the block cover does not exist.
-    """
-    found = []
-    for b, c, m in g.edge_pairs():
-        if m != 1:
-            continue
-        common = sorted(g.distinct_neighbors(b) & g.distinct_neighbors(c))
-        if len(common) != 2:
-            continue
-        a, d = common
-        if g.adjacent(a, d):
-            continue
-        if all(g.multiplicity(x, y) == 1 for x, y in ((a, b), (a, c), (b, d), (c, d))):
-            found.append(frozenset((a, b, c, d)))
-    return found
-
-
-def diamonds_disjoint_check(g: Multigraph) -> bool:
-    """True iff no two induced diamonds share a vertex.
-
-    Guaranteed for connected claw-free cubic multigraphs other than K4;
-    exposed as a fuzzable invariant rather than assumed.
-    """
-    seen: set[int] = set()
-    for dset in enumerate_diamonds(g):
-        if seen & dset:
-            return False
-        seen |= dset
-    return True

@@ -2,19 +2,28 @@
 
 These deliberately avoid the library's internal shortcuts: component
 sizes come from an actual flood fill, the tiny brute-force minimum
-below enumerates colorings directly instead of reusing the oracle, and
+below enumerates colorings directly instead of reusing the oracle,
 ``reference_find_blocks`` finds the block cover by the ordered searches
-that the one-pass local rule of ``find_blocks`` replaced.
+that the one-pass local rule of ``find_blocks`` replaced, and
+``reference_is_desired`` checks the four conditions of a desired
+bisection over every triangle of the graph instead of tallying blocks.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from itertools import compress, islice
+from itertools import combinations, compress, islice
 from operator import eq
 
-from cubisect import Block, Multigraph, PartitionError, StructurePartition
+from cubisect import Bisection, Block, Multigraph, PartitionError, StructurePartition
+from cubisect.bisection import (
+    DIAMOND_ONE_MONO,
+    MONO_IN_TRIANGLE,
+    MULTI_EDGE_NOT_MONO,
+    TRIANGLE_ONE_MONO,
+    Violation,
+)
 from cubisect.structure import DIAMOND, DIGON, TRIANGLE, TRUMPET
 
 
@@ -168,3 +177,112 @@ def reference_find_blocks(g: Multigraph) -> StructurePartition:
         p=p,
         vertex_to_block=tuple(vertex_to_block),
     )
+
+
+def triangles(g: Multigraph) -> list[tuple[int, int, int]]:
+    """All vertex triples u < v < w with the three pairs adjacent."""
+    start, nbr = g._start, g._nbr
+    out = []
+    for u in range(g.n):
+        end = start[u + 1]
+        higher = nbr[bisect_right(nbr, u, start[u], end) : end]
+        if len(higher) < 2:
+            continue
+        if len(set(higher)) < len(higher):
+            higher = list(dict.fromkeys(higher))
+        for v, w in combinations(higher, 2):
+            if w in nbr[start[v] : start[v + 1]]:
+                out.append((u, v, w))
+    return out
+
+
+def reference_is_desired(
+    g: Multigraph, part: StructurePartition, b: Bisection
+) -> tuple[bool, list[Violation]]:
+    """Check the four conditions of a desired bisection, reporting every
+    violation rather than the first.
+
+    * every triangle of g (including both triangles of a diamond and the
+      triangle of a trumpet) contains exactly one monochromatic edge;
+    * every monochromatic edge lies in a triangle;
+    * every diamond contains exactly one monochromatic edge;
+    * no parallel edge is monochromatic.
+
+    Mono counts use multiplicity, consistent with epsilon.
+    """
+    if b.n != g.n:
+        raise ValueError(f"coloring covers {b.n} vertices, graph has {g.n}")
+    nbrs = g.neighbors
+    colors = b.colors
+    violations: list[Violation] = []
+
+    def mono(u: int, v: int) -> int:
+        return nbrs(u).count(v) if colors[u] == colors[v] else 0
+
+    for u, v, w in triangles(g):
+        if mono(u, v) + mono(u, w) + mono(v, w) != 1:
+            violations.append((TRIANGLE_ONE_MONO, (u, v, w)))
+
+    # One pass over the monochromatic pairs u < v, in edge order, for the
+    # second and the fourth condition; the fourth's violations are held
+    # back so the report keeps the order of the conditions.
+    outside: list[Violation] = []
+    parallel: list[Violation] = []
+    for u in range(g.n):
+        c = colors[u]
+        near_u = nbrs(u)
+        same = [v for v in near_u if v > u and colors[v] == c]
+        for v in dict.fromkeys(same):
+            if set(near_u).isdisjoint(nbrs(v)):
+                outside.append((MONO_IN_TRIANGLE, (u, v)))
+            if same.count(v) >= 2:
+                parallel.append((MULTI_EDGE_NOT_MONO, (u, v)))
+    violations += outside
+
+    for block in part.blocks:
+        if block.kind != DIAMOND:
+            continue
+        a, bb, cc, d = block.vertices
+        count = sum(
+            mono(x, y) for x, y in ((a, bb), (a, cc), (bb, cc), (bb, d), (cc, d))
+        )
+        if count != 1:
+            violations.append((DIAMOND_ONE_MONO, block.vertices))
+
+    violations += parallel
+    return (not violations, violations)
+
+
+def enumerate_diamonds(g: Multigraph) -> list[frozenset[int]]:
+    """Vertex sets of all induced diamonds (K4 minus an edge) in g.
+
+    Scans shared sides directly rather than reusing find_blocks, so it also
+    works on graphs where the block cover does not exist.
+    """
+    found = []
+    for b, c, m in g.edge_pairs():
+        if m != 1:
+            continue
+        common = sorted(g.distinct_neighbors(b) & g.distinct_neighbors(c))
+        if len(common) != 2:
+            continue
+        a, d = common
+        if g.adjacent(a, d):
+            continue
+        if all(g.multiplicity(x, y) == 1 for x, y in ((a, b), (a, c), (b, d), (c, d))):
+            found.append(frozenset((a, b, c, d)))
+    return found
+
+
+def diamonds_disjoint_check(g: Multigraph) -> bool:
+    """True iff no two induced diamonds share a vertex.
+
+    Guaranteed for connected claw-free cubic multigraphs other than K4;
+    exposed as a fuzzable invariant rather than assumed.
+    """
+    seen: set[int] = set()
+    for dset in enumerate_diamonds(g):
+        if seen & dset:
+            return False
+        seen |= dset
+    return True

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,14 +12,18 @@ from cubisect import (
     Bisection,
     GraphFormatError,
     Multigraph,
+    NotApplicable,
     bisection_from_json,
     bisection_to_json,
     find_blocks,
     is_2bisection,
     is_desired,
+    min_bisection,
     mono_stats,
+    ring_of_diamonds,
 )
-from helpers import same_color_component_sizes
+from cubisect.construct import require_cover
+from helpers import reference_is_desired, same_color_component_sizes
 
 PRISM = Multigraph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5)])
 # one mono edge per triangle: 0-1 black, 3-4 white... 3 is white, 4 white
@@ -171,3 +177,32 @@ def test_desired_implies_2bisection(perm):
     if is_desired(g, part, b)[0]:
         assert is_2bisection(g, b)
         assert mono_stats(g, b).epsilon == part.k + part.t
+
+
+def test_is_desired_matches_reference_and_epsilon(fixtures, corpus):
+    """The block tally, the four-condition reference and epsilon == k+t
+    agree on each coloring: the optimum, one-swap perturbations of it and
+    random balanced colorings of every graph with a cover."""
+    rng = random.Random(12)
+    graphs = [*fixtures.values(), *(g for _, g in corpus), *map(ring_of_diamonds, range(2, 9))]
+    seen = {True: 0, False: 0}
+    for g in graphs:
+        try:
+            part = require_cover(g)
+        except NotApplicable:
+            continue
+        best, _ = min_bisection(g)
+        black, white = best.black(), best.white()
+        colorings = [best]
+        for _ in range(4):
+            i, j = rng.choice(black), rng.choice(white)
+            colorings.append(Bisection.from_black_set(g.n, {*black, j} - {i}))
+            colorings.append(Bisection.from_black_set(g.n, rng.sample(range(g.n), g.n // 2)))
+        for b in colorings:
+            desired = mono_stats(g, b).epsilon == part.k + part.t
+            assert reference_is_desired(g, part, b)[0] == is_desired(g, part, b)[0] == desired, (
+                g.edge_list(),
+                b.colors,
+            )
+            seen[desired] += 1
+    assert min(seen.values()) >= 100, seen

@@ -6,7 +6,8 @@ import json
 import pytest
 
 import cubisect.cli as cli
-from cubisect import SearchExhausted, format_graph, min_bisection, ring_of_diamonds
+import cubisect.construct as construct
+from cubisect import PartitionError, SearchExhausted, format_graph, min_bisection, ring_of_diamonds
 
 
 def write_graph(tmp_path, g, name="g.txt"):
@@ -267,15 +268,24 @@ def test_usage_error_exits_1(tmp_path, capsys, fixtures):
 
 
 def test_internal_error_exits_3(tmp_path, capsys, monkeypatch, fixtures):
-    def boom(_):
-        raise SearchExhausted("forced for the test")
-
-    monkeypatch.setattr(cli, "min_bisection", boom)
+    # A PartitionError on an in-class graph is a bug in the cover, not an
+    # out-of-class input: the gate turns every one of those into NotApplicable.
     gpath = write_graph(tmp_path, fixtures["prism"])
-    code, _, err = run_cli(capsys, ["bisect", gpath])
-    assert code == 3
-    assert "internal error: SearchExhausted: forced for the test" in err
-    assert f"input: {gpath}" in err
+    for module, name, exc in (
+        (cli, "min_bisection", SearchExhausted),
+        (construct, "find_blocks", PartitionError),
+    ):
+
+        def boom(_):
+            raise exc("forced for the test")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, boom)
+            code, out, err = run_cli(capsys, ["bisect", gpath])
+        assert code == 3
+        assert out == ""
+        assert f"internal error: {exc.__name__}: forced for the test" in err
+        assert f"input: {gpath}" in err
 
 
 def test_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch, fixtures):

@@ -14,9 +14,9 @@ from cubisect import (
     format_graph,
     min_bisection,
     parse_graph,
-    triangles,
     validate,
 )
+from helpers import triangles
 
 
 def triple_edge():

@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from cubisect import Multigraph, TooLarge, oracle_min
-from helpers import tiny_brute_min
+from cubisect import Bisection, Multigraph, TooLarge, find_blocks, is_2bisection, oracle_min
+from helpers import balanced_colorings, reference_is_desired, tiny_brute_min
 
 
 def test_prism(fixtures):
@@ -71,3 +71,20 @@ def test_matches_independent_brute_force(fixtures, corpus):
     small = [g for _, g in corpus if g.n <= 8]
     for g in [fixtures["k4"], fixtures["prism"], fixtures["q3"], *small]:
         assert oracle_min(g).min_epsilon == tiny_brute_min(g)
+
+
+def test_desired_exists_matches_reference(corpus):
+    """desired_exists, read off the minimum, holds iff some 2-bisection
+    passes the four-condition reference check."""
+    checked = 0
+    for _, g in corpus:
+        if g.n > 14:
+            continue
+        part = find_blocks(g)
+        found = any(
+            is_2bisection(g, b) and reference_is_desired(g, part, b)[0]
+            for b in map(Bisection, balanced_colorings(g.n))
+        )
+        assert oracle_min(g).desired_exists == found, g.edge_list()
+        checked += 1
+    assert checked == 176

@@ -10,13 +10,11 @@ from cubisect import (
     Multigraph,
     PartitionError,
     curated_suite,
-    diamonds_disjoint_check,
-    enumerate_diamonds,
     find_blocks,
     ring_of_diamonds,
     validate,
 )
-from helpers import reference_find_blocks
+from helpers import diamonds_disjoint_check, enumerate_diamonds, reference_find_blocks
 
 
 def test_prism_is_two_triangles(fixtures):
