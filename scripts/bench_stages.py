@@ -8,15 +8,17 @@ Each rung is one generated instance per parity of the diamond count k,
 from a fixed recipe seed, so runs compare from commit to commit. The
 stages are the ones `min_bisection` and the CLI run: parse, validate (the
 class gate's connectivity test; find_blocks checks the rest),
-find_blocks, construct (the Euler walk), certify (mono_stats and
+find_blocks, cover (the block cover's JSON text, what `cubisect
+partition` prints), construct (the Euler walk), certify (mono_stats and
 is_2bisection), desired (is_desired on the constructed coloring, what
 `cubisect verify` runs beyond certify) and serialize (the bisection
 JSON). For each stage the file records the best wall time of REPEAT
 runs and, from one more run under tracemalloc, the peak of the traced
 Python heap while the stage runs; results of earlier stages are live
 then, as in the CLI. Each rung also records the wall time of `cubisect
-check` and `cubisect bisect` run as child processes, and the child's
-peak resident set (VmHWM, Linux only; null elsewhere).
+check`, `cubisect partition` and `cubisect bisect` run as child
+processes, and the child's peak resident set (VmHWM, Linux only; null
+elsewhere).
 """
 
 from __future__ import annotations
@@ -92,6 +94,9 @@ def pipeline(text: str):
     def blocks():
         state["part"] = find_blocks(state["g"])
 
+    def cover():
+        state["part"].json_text()
+
     def construct():
         part = state["part"]
         flip = min(part.diamond_blocks, key=lambda b: b.vertices) if part.k % 2 else None
@@ -112,6 +117,7 @@ def pipeline(text: str):
         ("parse", parse),
         ("validate", check),
         ("find_blocks", blocks),
+        ("cover", cover),
         ("construct", construct),
         ("certify", certify),
         ("desired", desired),
@@ -181,7 +187,7 @@ def main() -> int:
                     "recipe": [r.k, r.t, r.p, r.seed],
                     "parity": "odd" if r.k % 2 else "even",
                     "stages": measure_stages(text),
-                    "cli": {cmd: measure_cli(cmd, path, os.path.join(tmp, "out")) for cmd in ("check", "bisect")},
+                    "cli": {cmd: measure_cli(cmd, path, os.path.join(tmp, "out")) for cmd in ("check", "partition", "bisect")},
                 }
                 del text
                 rows.append(row)

@@ -32,10 +32,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{'stdin' if path == '-' else path} is not UTF-8 text: {exc}") from exc
 
 
 def _load_graph(path: str) -> Multigraph:
@@ -86,7 +89,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[int, str]:
 
 def _cmd_partition(args: argparse.Namespace) -> tuple[int, str]:
     g = _load_graph(args.graph)
-    return 0, _json_text(require_cover(g).to_json())
+    return 0, require_cover(g).json_text()
 
 
 def _cmd_bisect(args: argparse.Namespace) -> tuple[int, str]:

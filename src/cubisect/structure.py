@@ -47,9 +47,24 @@ class Block:
     digon_multiplicity: int | None = None
 
 
+# Each block as it sits in the cover's indented JSON, one template per kind,
+# filled with the block's vertices; the sizes are the ones Block lists.
+_BLOCK_JSON = {
+    kind: '{\n      "kind": "' + kind + '",\n      "vertices": [\n        '
+    + ",\n        ".join(["%d"] * size)
+    + "\n      ]\n    }"
+    for kind, size in ((DIAMOND, 4), (TRIANGLE, 3), (TRUMPET, 3), (DIGON, 2))
+}
+
+
 @dataclass(frozen=True)
 class StructurePartition:
-    """The vertex-disjoint block cover of a graph, with block counts."""
+    """The vertex-disjoint block cover of a graph, with block counts.
+
+    ``json_text`` writes it as `cubisect partition` prints it: the blocks
+    in cover order, each with its kind and its vertices in role order,
+    then k, t and p.
+    """
 
     blocks: tuple[Block, ...]
     k: int  # diamonds
@@ -61,15 +76,14 @@ class StructurePartition:
     def diamond_blocks(self) -> list[Block]:
         return [b for b in self.blocks if b.kind == DIAMOND]
 
-    def to_json(self) -> dict:
-        return {
-            "blocks": [
-                {"kind": b.kind, "vertices": list(b.vertices)} for b in self.blocks
-            ],
-            "k": self.k,
-            "t": self.t,
-            "p": self.p,
-        }
+    def json_text(self) -> str:
+        """The cover as JSON indented by two spaces, with a final newline:
+        the bytes json.dumps(..., indent=2) gives for {"blocks": [{"kind",
+        "vertices"}, ...], "k", "t", "p"}, written by joining strings, since
+        an indented dump runs the pure-Python encoder. A cover has at least
+        one block, as a graph has at least one vertex."""
+        blocks = ",\n    ".join([_BLOCK_JSON[b.kind] % b.vertices for b in self.blocks])
+        return f'{{\n  "blocks": [\n    {blocks}\n  ],\n  "k": {self.k},\n  "t": {self.t},\n  "p": {self.p}\n}}\n'
 
 
 def find_blocks(g: Multigraph) -> StructurePartition:

@@ -6,7 +6,9 @@ below enumerates colorings directly instead of reusing the oracle,
 ``reference_find_blocks`` finds the block cover by the ordered searches
 that the one-pass local rule of ``find_blocks`` replaced, and
 ``reference_is_desired`` checks the four conditions of a desired
-bisection over every triangle of the graph instead of tallying blocks.
+bisection over every triangle of the graph instead of tallying blocks,
+and ``reference_cover_json`` gives the cover as the dict that
+``json.dumps(..., indent=2)`` turns into the text ``partition`` prints.
 """
 
 from __future__ import annotations
@@ -177,6 +179,18 @@ def reference_find_blocks(g: Multigraph) -> StructurePartition:
         p=p,
         vertex_to_block=tuple(vertex_to_block),
     )
+
+
+def reference_cover_json(part: StructurePartition) -> dict:
+    """The cover as the dict whose indented dump `partition` prints."""
+    return {
+        "blocks": [
+            {"kind": b.kind, "vertices": list(b.vertices)} for b in part.blocks
+        ],
+        "k": part.k,
+        "t": part.t,
+        "p": part.p,
+    }
 
 
 def triangles(g: Multigraph) -> list[tuple[int, int, int]]:

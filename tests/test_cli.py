@@ -7,7 +7,18 @@ import pytest
 
 import cubisect.cli as cli
 import cubisect.construct as construct
-from cubisect import PartitionError, SearchExhausted, format_graph, min_bisection, ring_of_diamonds
+from cubisect import (
+    PartitionError,
+    SearchExhausted,
+    curated_suite,
+    find_blocks,
+    format_graph,
+    min_bisection,
+    ring_of_diamonds,
+)
+from helpers import reference_cover_json
+
+CURATED = dict(curated_suite())
 
 
 def write_graph(tmp_path, g, name="g.txt"):
@@ -50,6 +61,12 @@ def test_partition_json(tmp_path, capsys, fixtures):
     assert code == 0
     obj = json.loads(out)
     assert obj["k"] == 2 and obj["t"] == 0 and obj["p"] == 0
+    for name, g in fixtures.items():
+        if name in ("k4", "q3"):
+            continue
+        code, out, err = run_cli(capsys, ["partition", write_graph(tmp_path, g)])
+        assert (code, err) == (0, "")
+        assert out == json.dumps(reference_cover_json(find_blocks(g)), indent=2) + "\n"
 
 
 def test_partition_rejects_k4(tmp_path, capsys, fixtures):
@@ -154,10 +171,14 @@ def test_verify_text_flags_bad_coloring(tmp_path, capsys, fixtures):
 
 
 def test_verify_bad_json_exits_1(tmp_path, capsys, fixtures):
-    for name, bad in (("prism", "{not json"), ("triple_edge", '{"black": [true], "white": [false]}')):
+    for name, bad in (
+        ("prism", b"{not json"),
+        ("triple_edge", b'{"black": [true], "white": [false]}'),
+        ("triple_edge", b'{"black": [0], "white": [1]}\xff'),  # not UTF-8
+    ):
         gpath = write_graph(tmp_path, fixtures[name])
         bpath = tmp_path / "broken.json"
-        bpath.write_text(bad)
+        bpath.write_bytes(bad)
         code, out, err = run_cli(capsys, ["verify", gpath, str(bpath)])
         assert code == 1
         assert out == ""
@@ -195,6 +216,14 @@ def test_parse_error_exits_1(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["check", str(path)])
     assert code == 1
     assert "error:" in err
+    # Byte 0xff in the last edge line: a decoding failure is parse trouble
+    # too, not an out-of-class graph.
+    path.write_bytes(b"2 3\n0 1\n0 1\n0 1\xff\n")
+    for command in ("check", "partition", "bisect"):
+        code, out, err = run_cli(capsys, [command, str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {path} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
 
 
 @pytest.mark.parametrize(
@@ -251,6 +280,36 @@ def test_partition_out_of_class_exits_2(tmp_path, capsys, text):
     assert err.startswith("error: graph is not a connected claw-free cubic multigraph\n")
     assert run_cli(capsys, ["bisect", str(path)])[0] == 2
     assert "in-class: no" in run_cli(capsys, ["check", str(path)])[1]
+
+
+def _report_text(cubic, claw_free, k4, witness):
+    witness = "null" if witness is None else "[\n" + ",\n".join(f"    {v}" for v in witness) + "\n  ]"
+    return (
+        f'{{\n  "is_cubic": {cubic},\n  "is_connected": true,\n  "is_claw_free": {claw_free},\n'
+        f'  "is_k4": {k4},\n  "claw_witness": {witness}\n}}\n'
+    )
+
+
+NOT_IN_CLASS = "error: graph is not a connected claw-free cubic multigraph\n"
+
+
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        (
+            format_graph(CURATED["k4"]),
+            "error: the complete graph on four vertices is excluded\n"
+            + _report_text("true", "true", "true", None),
+        ),
+        (format_graph(CURATED["q3"]), NOT_IN_CLASS + _report_text("true", "false", "false", [0, 1, 2, 4])),
+        ("3 3\n0 1\n0 2\n1 2\n", NOT_IN_CLASS + _report_text("false", "true", "false", None)),
+    ],
+    ids=["k4", "q3", "lone_triangle"],
+)
+def test_partition_refusal_text(tmp_path, capsys, text, err):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    assert run_cli(capsys, ["partition", str(path)]) == (2, "", err)
 
 
 def test_missing_file_exits_1(capsys):

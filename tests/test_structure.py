@@ -1,20 +1,30 @@
 from __future__ import annotations
 
+import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubisect import (
+    BlockRecipe,
     Multigraph,
     PartitionError,
     curated_suite,
     find_blocks,
+    generate,
     ring_of_diamonds,
     validate,
 )
-from helpers import diamonds_disjoint_check, enumerate_diamonds, reference_find_blocks
+from cubisect.structure import DIAMOND, DIGON, TRIANGLE, TRUMPET
+from helpers import (
+    diamonds_disjoint_check,
+    enumerate_diamonds,
+    reference_cover_json,
+    reference_find_blocks,
+)
 
 
 def test_prism_is_two_triangles(fixtures):
@@ -154,10 +164,29 @@ def test_enumerate_diamonds_matches_partition(corpus):
 
 
 def test_partition_json_shape(fixtures):
-    obj = find_blocks(fixtures["ring3"]).to_json()
+    obj = reference_cover_json(find_blocks(fixtures["ring3"]))
     assert set(obj) == {"blocks", "k", "t", "p"}
     assert obj["k"] == 3 and obj["t"] == 0 and obj["p"] == 0
     assert all(set(b) == {"kind", "vertices"} for b in obj["blocks"])
+
+
+def test_json_text_is_the_indented_dump(fixtures, corpus):
+    rng = random.Random(13)
+    graphs = [g for g in fixtures.values() if validate(g).in_class]
+    for _, g in corpus:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        graphs += [g, g.relabel(perm)]
+    graphs += [ring_of_diamonds(count) for count in range(2, 9)]
+    # n = 10^4 with every block kind, three trumpets among them.
+    graphs.append(generate(BlockRecipe(500, 2000, 1000, seed=2)))
+    seen = Counter()
+    for g in graphs:
+        part = find_blocks(g)
+        assert part.json_text() == json.dumps(reference_cover_json(part), indent=2) + "\n"
+        seen.update((b.kind, b.digon_multiplicity) for b in part.blocks)
+    assert seen[TRUMPET, None] >= 3 and seen[DIGON, 3] >= 1
+    assert seen[DIAMOND, None] and seen[TRIANGLE, None] and seen[DIGON, 2]
 
 
 @given(st.integers(0, 10_000))
