@@ -98,9 +98,7 @@ def pipeline(text: str):
         state["part"].json_text()
 
     def construct():
-        part = state["part"]
-        flip = min(part.diamond_blocks, key=lambda b: b.vertices) if part.k % 2 else None
-        state["bis"] = desired_bisection_csp(state["g"], part, flip)
+        state["bis"] = desired_bisection_csp(state["g"], state["part"])
 
     def certify():
         g, bis = state["g"], state["bis"]

@@ -33,7 +33,6 @@ from .errors import (
     NotApplicable,
     PartitionError,
     ReductionError,
-    SearchExhausted,
     TooLarge,
     Unsatisfiable,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "OracleResult",
     "PartitionError",
     "ReductionError",
-    "SearchExhausted",
     "StructurePartition",
     "TooLarge",
     "Unsatisfiable",

@@ -9,7 +9,7 @@ the black and white shares of epsilon are equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import GraphFormatError
 from .multigraph import Multigraph
@@ -33,8 +33,6 @@ class Bisection:
     """Balanced black/white coloring; unbalanced colorings are rejected."""
 
     colors: tuple[int, ...]
-    black_count: int = field(init=False)
-    white_count: int = field(init=False)
 
     def __post_init__(self):
         if any(c not in (BLACK, WHITE) for c in self.colors):
@@ -43,8 +41,6 @@ class Bisection:
         nw = len(self.colors) - nb
         if nb != nw:
             raise ValueError(f"unbalanced coloring: {nb} black vs {nw} white")
-        object.__setattr__(self, "black_count", nb)
-        object.__setattr__(self, "white_count", nw)
 
     @classmethod
     def from_black_set(cls, n: int, black) -> "Bisection":

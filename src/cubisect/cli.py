@@ -34,7 +34,7 @@ class _Parser(argparse.ArgumentParser):
 def _read_text(path: str) -> str:
     try:
         if path == "-":
-            return sys.stdin.read()
+            return sys.stdin.buffer.read().decode("utf-8")
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:

@@ -8,7 +8,8 @@ which every triangle carries exactly one monochromatic edge and every
 monochromatic edge sits in a triangle; one Euler walk over the graph of
 triangle/trumpet blocks and the digon/diamond chains between them builds
 it in linear time. Odd k runs the same walk with one diamond colored to
-carry exactly two monochromatic edges. Diamond removal and splicing
+carry exactly two monochromatic edges, the one with the smallest vertex
+tuple, which the walk picks itself. Diamond removal and splicing
 (``reduce_diamond`` and ``lift``) are the proof device for the odd case
 and are kept for the tests that check it.
 
@@ -26,21 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bisection import BLACK, WHITE, Bisection, MonoStats, is_2bisection, mono_stats
-from .errors import (
-    CertificateError,
-    LiftError,
-    NotApplicable,
-    PartitionError,
-    ReductionError,
-    SearchExhausted,
-)
+from .errors import CertificateError, LiftError, NotApplicable, PartitionError, ReductionError
 from .multigraph import Multigraph, format_graph, is_connected, validate
 from .structure import DIAMOND, DIGON, TRIANGLE, TRUMPET, Block, StructurePartition, find_blocks
 
 
-def desired_bisection_csp(
-    g: Multigraph, part: StructurePartition, flip: Block | None = None
-) -> Bisection:
+def desired_bisection_csp(g: Multigraph, part: StructurePartition) -> Bisection:
     """Build a balanced coloring with one monochromatic edge per diamond,
     triangle and trumpet and every edge between blocks bichromatic, in
     time linear in the graph's size.
@@ -58,21 +50,19 @@ def desired_bisection_csp(
     k, so for even k the colors balance. Without nodes the graph is one
     ring of digons and diamonds, colored by propagation.
 
-    Odd k needs ``flip``, a diamond of ``part`` colored with a, c one
-    color and b, d the other: its ends then differ like a digon's, the
-    count of equal chains becomes even, and that diamond carries two
-    monochromatic edges instead of one. Odd k without ``flip`` (or a
-    ``flip`` with even k) raises ValueError.
+    For odd k the diamond with the smallest vertex tuple is flipped:
+    colored with a, c one color and b, d the other, its ends differ like
+    a digon's, the count of equal chains becomes even, and that diamond
+    carries two monochromatic edges instead of one.
+
+    A coloring that fails to close the ring or to come out complete and
+    balanced raises CertificateError, as a bug.
     """
-    if (part.k % 2 == 1) != (flip is not None):
-        raise ValueError("a flipped diamond is needed exactly when the diamond count is odd")
     blocks = part.blocks
     block_of = part.vertex_to_block
     flip_index = -1
-    if flip is not None:
-        flip_index = block_of[flip.vertices[0]]
-        if flip.kind != DIAMOND or blocks[flip_index] != flip:
-            raise ValueError("flip must be a diamond block of the partition")
+    if part.k % 2:
+        flip_index = block_of[min(b.vertices for b in part.diamond_blocks)[0]]
 
     n = g.n
     colors = [-1] * n
@@ -131,17 +121,16 @@ def desired_bisection_csp(
         return v
 
     if not nodes:
-        first = blocks[0]
-        if first.digon_multiplicity == 3:
-            u, v = first.vertices
-            colors[u], colors[v] = BLACK, WHITE
+        if n == 2:
+            # A connected cubic graph on two vertices is the triple edge.
+            colors[0], colors[1] = BLACK, WHITE
         else:
             # Color the first block, then walk the ring back to it.
-            start = first.vertices[0]
+            start = blocks[0].vertices[0]
             out, c = enter(start, BLACK)
             is_port[start] = True
             if colors[paint(out, c)] != BLACK:
-                raise SearchExhausted(
+                raise CertificateError(
                     "ring of digons and diamonds does not close consistently:\n"
                     + format_graph(g)
                 )
@@ -195,7 +184,7 @@ def desired_bisection_csp(
             departure = 1 - colors[paint(p, departure)]
 
     if -1 in colors or 2 * colors.count(BLACK) != n:
-        raise SearchExhausted(
+        raise CertificateError(
             "constructed coloring is unbalanced or incomplete:\n" + format_graph(g)
         )
     return Bisection(tuple(colors))
@@ -344,10 +333,6 @@ def formula_minimum(n: int, k: int, p: int) -> int:
     return base + (k % 2)
 
 
-def _canonical_diamond(part: StructurePartition) -> Block:
-    return min(part.diamond_blocks, key=lambda blk: blk.vertices)
-
-
 def require_in_class(g: Multigraph) -> None:
     """Raise NotApplicable unless g is a connected claw-free cubic
     multigraph other than the complete graph on four vertices."""
@@ -396,8 +381,7 @@ def min_bisection(g: Multigraph) -> tuple[Bisection, BisectionCertificate]:
     blocks and none on a digon or between blocks.
     """
     part = require_cover(g)
-    flip = _canonical_diamond(part) if part.k % 2 else None
-    bis = desired_bisection_csp(g, part, flip)
+    bis = desired_bisection_csp(g, part)
 
     stats = mono_stats(g, bis)
     cert = BisectionCertificate(

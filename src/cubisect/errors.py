@@ -42,11 +42,6 @@ class InternalInvariantError(RuntimeError):
     input. The message carries the offending instance for inspection."""
 
 
-class SearchExhausted(InternalInvariantError):
-    """The construction produced no balanced, fully assigned coloring,
-    although one is guaranteed to exist."""
-
-
 class ReductionError(InternalInvariantError):
     """Diamond reduction produced a graph violating its structural
     guarantees (disconnected, claw, K4, wrong diamond count, ...)."""
@@ -58,5 +53,6 @@ class LiftError(InternalInvariantError):
 
 
 class CertificateError(InternalInvariantError):
-    """A constructed bisection failed final validation against the
-    monochromatic-edge formula or the 2-bisection property."""
+    """A constructed coloring failed its checks: the walk's ring did not
+    close, the coloring came out incomplete or unbalanced, or it missed
+    the monochromatic-edge formula or the 2-bisection property."""

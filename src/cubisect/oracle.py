@@ -16,8 +16,7 @@ from itertools import combinations
 
 from .construct import require_cover
 from .errors import InternalInvariantError, NotApplicable, TooLarge
-from .multigraph import Multigraph
-from .structure import StructurePartition
+from .multigraph import Multigraph, is_cubic
 
 DEFAULT_LIMIT = 16
 HARD_CAP = 24
@@ -50,13 +49,6 @@ class OracleResult:
         }
 
 
-def _structure_or_none(g: Multigraph) -> StructurePartition | None:
-    try:
-        return require_cover(g)
-    except NotApplicable:
-        return None
-
-
 def oracle_min(g: Multigraph, limit: int = DEFAULT_LIMIT) -> OracleResult:
     """Brute-force minimum monochromatic count over all 2-bisections.
 
@@ -66,9 +58,8 @@ def oracle_min(g: Multigraph, limit: int = DEFAULT_LIMIT) -> OracleResult:
     """
     if limit > HARD_CAP:
         raise ValueError(f"limit {limit} exceeds the hard cap of {HARD_CAP}")
-    for v in range(g.n):
-        if g.degree(v) != 3:
-            raise ValueError("exhaustive search expects a cubic multigraph")
+    if not is_cubic(g):
+        raise ValueError("exhaustive search expects a cubic multigraph")
     if g.n > limit:
         raise TooLarge(f"n = {g.n} exceeds the search budget of {limit}")
 
@@ -116,10 +107,15 @@ def oracle_min(g: Multigraph, limit: int = DEFAULT_LIMIT) -> OracleResult:
         elif eps == best:
             optima += 1
 
-    part = _structure_or_none(g)
+    try:
+        part = require_cover(g)
+    except NotApplicable:
+        desired = False
+    else:
+        desired = best == part.k + part.t
     return OracleResult(
         min_epsilon=best,
         optima_count=optima,
-        desired_exists=part is not None and best == part.k + part.t,
+        desired_exists=desired,
         enumerated=math.comb(n, n // 2),
     )

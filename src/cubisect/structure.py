@@ -39,12 +39,11 @@ class Block:
     diamond: (a, b, c, d) -- bc is the shared side, ad the missing edge;
     triangle: sorted (u, v, w);
     trumpet: (w, x, y) -- apex w, doubled pair x < y;
-    digon: (u, v) with u < v and digon_multiplicity 2 or 3.
+    digon: (u, v) with u < v.
     """
 
     kind: str
     vertices: tuple[int, ...]
-    digon_multiplicity: int | None = None
 
 
 # Each block as it sits in the cover's indented JSON, one template per kind,
@@ -121,14 +120,14 @@ def find_blocks(g: Multigraph) -> StructurePartition:
         x, y, z = nbr[3 * v : 3 * v + 3]
         if x == z:
             if v < x:
-                triples.append(Block(DIGON, (v, x), digon_multiplicity=3))
+                triples.append(Block(DIGON, (v, x)))
         elif x == y or y == z:
             u, r = (x, z) if x == y else (z, x)
             if v < u:
                 if r in nbr[3 * u : 3 * u + 3]:
                     pairs.append(Block(TRUMPET, (r, v, u)))
                 else:
-                    pairs.append(Block(DIGON, (v, u), digon_multiplicity=2))
+                    pairs.append(Block(DIGON, (v, u)))
         else:
             near_x = nbr[3 * x : 3 * x + 3]
             xy, xz, yz = y in near_x, z in near_x, z in nbr[3 * y : 3 * y + 3]

@@ -115,7 +115,7 @@ def reference_find_blocks(g: Multigraph) -> StructurePartition:
 
     for (u, v), m in doubled.items():
         if m == 3:
-            claim(Block(DIGON, (u, v), digon_multiplicity=3))
+            claim(Block(DIGON, (u, v)))
 
     for (u, v), m in doubled.items():
         if m != 2:
@@ -127,7 +127,7 @@ def reference_find_blocks(g: Multigraph) -> StructurePartition:
         if common:
             claim(Block(TRUMPET, (common[0], u, v)))
         else:
-            claim(Block(DIGON, (u, v), digon_multiplicity=2))
+            claim(Block(DIGON, (u, v)))
 
     # Every vertex on a parallel edge is covered now, so the runs of the
     # uncovered vertices below hold no repeats and every pair among them

@@ -35,8 +35,7 @@ def test_balance_enforced():
         Bisection((BLACK, BLACK, WHITE, BLACK))
     with pytest.raises(ValueError):
         Bisection((BLACK, 2))
-    b = Bisection((BLACK, WHITE))
-    assert b.black_count == b.white_count == 1
+    assert Bisection((BLACK, WHITE)).colors == (BLACK, WHITE)
 
 
 def test_from_black_set():

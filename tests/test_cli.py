@@ -8,8 +8,8 @@ import pytest
 import cubisect.cli as cli
 import cubisect.construct as construct
 from cubisect import (
+    CertificateError,
     PartitionError,
-    SearchExhausted,
     curated_suite,
     find_blocks,
     format_graph,
@@ -25,6 +25,12 @@ def write_graph(tmp_path, g, name="g.txt"):
     path = tmp_path / name
     path.write_text(format_graph(g))
     return str(path)
+
+
+def stdin_bytes(data: bytes):
+    """A text stdin over raw bytes, decoded as the interpreter does under a
+    C or POSIX locale."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
 
 
 def run_cli(capsys, argv):
@@ -186,9 +192,39 @@ def test_verify_bad_json_exits_1(tmp_path, capsys, fixtures):
 
 
 def test_stdin_input(capsys, monkeypatch, fixtures):
-    monkeypatch.setattr("sys.stdin", io.StringIO(format_graph(fixtures["prism"])))
+    monkeypatch.setattr("sys.stdin", stdin_bytes(format_graph(fixtures["prism"]).encode()))
     code, out, _ = run_cli(capsys, ["check", "-"])
     assert code == 0 and "in-class: yes" in out
+
+
+# A comment line holding the byte 0xff, then the triple edge.
+NOT_UTF8 = b"# \xff\n2 3\n0 1\n0 1\n0 1\n"
+
+
+def test_non_utf8_stdin_exits_1_like_a_file(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(NOT_UTF8)
+    code, out, file_err = run_cli(capsys, ["check", str(path)])
+    assert (code, out) == (1, "")
+    monkeypatch.setattr("sys.stdin", stdin_bytes(NOT_UTF8))
+    code, out, err = run_cli(capsys, ["check", "-"])
+    assert (code, out) == (1, "")
+    assert err == file_err.replace(str(path), "stdin")
+    assert "stdin is not UTF-8 text" in err
+
+
+def test_verify_reads_bisection_from_stdin(tmp_path, capsys, monkeypatch, fixtures):
+    gpath = write_graph(tmp_path, fixtures["prism"])
+    bpath = tmp_path / "b.json"
+    bpath.write_text('{"black": [0, 1, 5], "white": [2, 3, 4]}')
+    _, from_file, _ = run_cli(capsys, ["verify", gpath, str(bpath)])
+    monkeypatch.setattr("sys.stdin", stdin_bytes(bpath.read_bytes()))
+    code, out, _ = run_cli(capsys, ["verify", gpath, "-"])
+    assert code == 0 and out == from_file and "2-bisection: yes" in out
+    monkeypatch.setattr("sys.stdin", stdin_bytes(bpath.read_bytes() + b"\xff"))
+    code, out, err = run_cli(capsys, ["verify", gpath, "-"])
+    assert (code, out) == (1, "")
+    assert "error: stdin is not UTF-8 text" in err
 
 
 def test_output_flag(tmp_path, capsys, fixtures):
@@ -331,7 +367,7 @@ def test_internal_error_exits_3(tmp_path, capsys, monkeypatch, fixtures):
     # out-of-class input: the gate turns every one of those into NotApplicable.
     gpath = write_graph(tmp_path, fixtures["prism"])
     for module, name, exc in (
-        (cli, "min_bisection", SearchExhausted),
+        (cli, "min_bisection", CertificateError),
         (construct, "find_blocks", PartitionError),
     ):
 
@@ -393,3 +429,105 @@ def test_json_output_stable(tmp_path, capsys, fixtures):
         _, out, _ = run_cli(capsys, ["bisect", gpath])
         outputs.add(out)
     assert len(outputs) == 1
+
+
+# `bisect` stdout byte for byte: two odd-k fixtures, where the walk flips the
+# diamond with the smallest vertex tuple, and one even-k fixture.
+BISECT_STDOUT = {
+    "diamond_digon": """\
+{
+  "bisection": {
+    "black": [
+      1,
+      3,
+      4
+    ],
+    "white": [
+      0,
+      2,
+      5
+    ],
+    "epsilon": 2,
+    "epsilon_black": 1,
+    "epsilon_white": 1
+  },
+  "certificate": {
+    "n": 6,
+    "k": 1,
+    "p": 1,
+    "epsilon": 2,
+    "formula": 2,
+    "parity": "odd",
+    "valid": true
+  }
+}
+""",
+    "ring3": """\
+{
+  "bisection": {
+    "black": [
+      0,
+      2,
+      4,
+      7,
+      9,
+      10
+    ],
+    "white": [
+      1,
+      3,
+      5,
+      6,
+      8,
+      11
+    ],
+    "epsilon": 4,
+    "epsilon_black": 2,
+    "epsilon_white": 2
+  },
+  "certificate": {
+    "n": 12,
+    "k": 3,
+    "p": 0,
+    "epsilon": 4,
+    "formula": 4,
+    "parity": "odd",
+    "valid": true
+  }
+}
+""",
+    "prism": """\
+{
+  "bisection": {
+    "black": [
+      1,
+      3,
+      5
+    ],
+    "white": [
+      0,
+      2,
+      4
+    ],
+    "epsilon": 2,
+    "epsilon_black": 1,
+    "epsilon_white": 1
+  },
+  "certificate": {
+    "n": 6,
+    "k": 0,
+    "p": 0,
+    "epsilon": 2,
+    "formula": 2,
+    "parity": "even",
+    "valid": true
+  }
+}
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BISECT_STDOUT))
+def test_bisect_stdout_pinned(tmp_path, capsys, fixtures, name):
+    code, out, _ = run_cli(capsys, ["bisect", write_graph(tmp_path, fixtures[name])])
+    assert code == 0 and out == BISECT_STDOUT[name]

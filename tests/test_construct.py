@@ -71,22 +71,9 @@ def test_csp_finds_desired_bisection_even_k(corpus):
         assert mono_stats(g, b).epsilon == part.k + part.t
 
 
-def test_csp_rejects_odd_k(fixtures):
-    g = fixtures["diamond_digon"]
-    with pytest.raises(ValueError):
-        desired_bisection_csp(g, find_blocks(g))
-
-
-def test_csp_flip_only_for_odd_k(fixtures):
-    g = fixtures["ring2"]
-    part = find_blocks(g)
-    with pytest.raises(ValueError):
-        desired_bisection_csp(g, part, part.diamond_blocks[0])
-    g = fixtures["diamond_digon"]
-    part = find_blocks(g)
-    digon = next(b for b in part.blocks if b.kind == "digon")
-    with pytest.raises(ValueError):
-        desired_bisection_csp(g, part, digon)
+def test_csp_flips_the_smallest_diamond_for_odd_k(odd_k_corpus, fixtures):
+    for _, g in [*odd_k_corpus, ("ring3", fixtures["ring3"]), ("diamond_digon", fixtures["diamond_digon"])]:
+        assert_desired_but_for_the_flip(g, desired_bisection_csp(g, find_blocks(g)))
 
 
 def test_odd_k_doubles_only_the_canonical_diamond(odd_k_corpus, fixtures):
