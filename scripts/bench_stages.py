@@ -8,11 +8,12 @@ Each rung is one generated instance per parity of the diamond count k,
 from a fixed recipe seed, so runs compare from commit to commit. The
 stages are the ones `min_bisection` and the CLI run: parse, validate (the
 class gate's connectivity test; find_blocks checks the rest),
-find_blocks, cover (the block cover's JSON text, what `cubisect
-partition` prints), construct (the Euler walk), certify (mono_stats and
+find_blocks (the cover and the matching between its blocks), cover (the
+block cover's JSON text, what `cubisect partition` prints), construct
+(the Euler walk along that matching), certify (mono_stats and
 is_2bisection), desired (is_desired on the constructed coloring, what
-`cubisect verify` runs beyond certify) and serialize (the bisection
-JSON). For each stage the file records the best wall time of REPEAT
+`cubisect verify` runs beyond certify, reading the matching too) and
+serialize (the bisection JSON). For each stage the file records the best wall time of REPEAT
 runs and, from one more run under tracemalloc, the peak of the traced
 Python heap while the stage runs; results of earlier stages are live
 then, as in the CLI. Each rung also records the wall time of `cubisect

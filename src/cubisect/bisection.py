@@ -152,13 +152,9 @@ def is_desired(
             if colors[x] == colors[y] and (block.kind == TRUMPET or colors[w] == colors[x]):
                 violations.append((TRIANGLE_ONE_MONO, vs))
 
-    block_of = part.vertex_to_block
-    start, nbr = g._start, g._nbr
-    for u in range(g.n):
-        c, home = colors[u], block_of[u]
-        for v in nbr[start[u] : start[u + 1]]:
-            if v > u and colors[v] == c and block_of[v] != home:
-                violations.append((MONO_IN_TRIANGLE, (u, v)))
+    for u, v in enumerate(part.ext):
+        if v > u and colors[v] == colors[u]:
+            violations.append((MONO_IN_TRIANGLE, (u, v)))
     return (not violations, violations)
 
 

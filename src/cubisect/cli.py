@@ -113,9 +113,10 @@ def _cmd_gen(args: argparse.Namespace) -> tuple[int, str]:
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     g = _load_graph(args.graph)
+    text = _read_text(args.bisection)
     try:
-        obj = json.loads(_read_text(args.bisection))
-    except json.JSONDecodeError as exc:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # malformed, over-long ints, deep nesting
         raise GraphFormatError(f"bad bisection JSON: {exc}") from exc
     b = bisection_from_json(obj, g.n)
     stats = mono_stats(g, b)

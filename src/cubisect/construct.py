@@ -38,9 +38,10 @@ def desired_bisection_csp(g: Multigraph, part: StructurePartition) -> Bisection:
     time linear in the graph's size.
 
     Triangles and trumpets are nodes; each maximal run of digons and
-    diamonds between two node ports is a chain. A digon's ends differ in
-    color and a diamond's ends match, so a chain with an odd diamond
-    count is "equal": its two end ports share a color. A dummy node
+    diamonds between two node ports is a chain, followed along the
+    cover's matching part.ext. A digon's ends differ in color and a
+    diamond's ends match, so a chain with an odd diamond count is
+    "equal": its two end ports share a color. A dummy node
     joined to every node makes all degrees even, and one Euler circuit
     from the dummy colors every chain in turn. At each pass through a
     node the departing port takes the opposite color of the arriving
@@ -58,22 +59,13 @@ def desired_bisection_csp(g: Multigraph, part: StructurePartition) -> Bisection:
     A coloring that fails to close the ring or to come out complete and
     balanced raises CertificateError, as a bug.
     """
-    blocks = part.blocks
-    block_of = part.vertex_to_block
+    blocks, block_of, ext = part.blocks, part.vertex_to_block, part.ext
     flip_index = -1
     if part.k % 2:
         flip_index = block_of[min(b.vertices for b in part.diamond_blocks)[0]]
 
     n = g.n
     colors = [-1] * n
-    # ext[v]: v's neighbor in another block, -1 for vertices inside one.
-    ext = [-1] * n
-    start, nbr = g._start, g._nbr
-    for u in range(n):
-        bu = block_of[u]
-        for v in nbr[start[u] : start[u + 1]]:
-            if block_of[v] != bu:
-                ext[u] = v
     is_port = [False] * n
     nodes = [i for i, blk in enumerate(blocks) if blk.kind in (TRIANGLE, TRUMPET)]
     for i in nodes:
@@ -138,13 +130,10 @@ def desired_bisection_csp(g: Multigraph, part: StructurePartition) -> Bisection:
         # Chains as edges of the node graph, plus one dummy edge per node.
         dummy = len(blocks)
         ends: list[tuple[int, int]] = []  # chain id -> (port, port)
-        in_chain = [False] * n
         for i in nodes:
             for p in blocks[i].vertices:
-                if is_port[p] and not in_chain[p]:
-                    q = paint(p, BLACK)
-                    in_chain[p] = in_chain[q] = True
-                    ends.append((p, q))
+                if is_port[p] and colors[p] < 0:  # a port is painted with its chain
+                    ends.append((p, paint(p, BLACK)))
         edges = [(block_of[p], block_of[q]) for p, q in ends]
         edges.extend((dummy, i) for i in nodes)
         adj: list[list[int]] = [[] for _ in range(dummy + 1)]

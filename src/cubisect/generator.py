@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import Unsatisfiable
-from .multigraph import Multigraph, validate
+from .multigraph import Multigraph, is_connected
 
 MAX_ATTEMPTS = 100
 
@@ -39,8 +39,10 @@ def generate(recipe: BlockRecipe) -> Multigraph:
     Stub pairings within one diamond are rejected (they close the diamond
     into the complete graph on four vertices); pairings within one doubled
     pair are rejected unless it is the only block, where they produce the
-    two-vertex triple-edge graph. Disconnected draws are resampled; after
-    100 failures the recipe is treated as unrealizable.
+    two-vertex triple-edge graph. Each vertex has one stub and lies in a
+    triangle or on a parallel pair, so every draw is cubic, claw-free and
+    not K4, and only connectivity is tested: disconnected draws are
+    resampled; after 100 failures the recipe is treated as unrealizable.
     """
     if recipe.k < 0 or recipe.t < 0 or recipe.p < 0:
         raise ValueError("block counts must be nonnegative")
@@ -94,7 +96,7 @@ def generate(recipe: BlockRecipe) -> Multigraph:
         if not ok:
             continue
         g = Multigraph(recipe.n, base_edges + cross)
-        if validate(g).in_class:
+        if is_connected(g):
             return g
 
     raise Unsatisfiable(

@@ -60,6 +60,10 @@ _BLOCK_JSON = {
 class StructurePartition:
     """The vertex-disjoint block cover of a graph, with block counts.
 
+    ``ext`` is the matching formed by the (simple) edges between blocks:
+    ext[v] is v's neighbor in another block, or -1 when v has none (a
+    diamond's shared side, a trumpet's doubled pair, the triple edge).
+
     ``json_text`` writes it as `cubisect partition` prints it: the blocks
     in cover order, each with its kind and its vertices in role order,
     then k, t and p.
@@ -70,6 +74,7 @@ class StructurePartition:
     t: int  # triangles + trumpets
     p: int  # digons (a triple edge counts as one digon)
     vertex_to_block: tuple[int, ...]
+    ext: tuple[int, ...]
 
     @property
     def diamond_blocks(self) -> list[Block]:
@@ -92,14 +97,15 @@ def find_blocks(g: Multigraph) -> StructurePartition:
     * x == z: a triple digon (v, x), listed at its smaller end.
     * x == y or y == z: v is on a doubled pair with u and r is its third
       neighbor; a trumpet (r, v, u) if r is u's third neighbor too, else a
-      digon (v, u), listed at v < u.
+      digon (v, u) with ext[v] = r, listed at v < u.
     * a simple run, by the count of adjacent pairs among x, y, z:
       0, v centers a claw; 3, v lies in a K4 component (both raise);
       2, v is on a diamond's shared side with the neighbor h adjacent to
       the other two, a < d, giving (a, min(v, h), max(v, h), d) at v < h;
-      1, v lies in one triangle (v, p, q), a block when p and q have simple
-      runs and share no neighbor but v (else v is a diamond's outer corner
-      or a trumpet's apex), listed at v < p < q.
+      1, v lies in one triangle (v, p, q), with ext[v] its third neighbor,
+      a block when p and q have simple runs and share no neighbor but v
+      (else v is a diamond's outer corner or a trumpet's apex), listed at
+      v < p < q.
 
     Blocks come as triple digons, doubled pairs, diamonds, then triangles,
     each group in the order of the vertex that lists it. A vertex on a
@@ -116,6 +122,7 @@ def find_blocks(g: Multigraph) -> StructurePartition:
     pairs: list[Block] = []
     diamonds: list[Block] = []
     triangles: list[Block] = []
+    ext = [-1] * n
     for v in range(n):
         x, y, z = nbr[3 * v : 3 * v + 3]
         if x == z:
@@ -123,10 +130,12 @@ def find_blocks(g: Multigraph) -> StructurePartition:
                 triples.append(Block(DIGON, (v, x)))
         elif x == y or y == z:
             u, r = (x, z) if x == y else (z, x)
-            if v < u:
-                if r in nbr[3 * u : 3 * u + 3]:
+            if r in nbr[3 * u : 3 * u + 3]:
+                if v < u:
                     pairs.append(Block(TRUMPET, (r, v, u)))
-                else:
+            else:
+                ext[v] = r
+                if v < u:
                     pairs.append(Block(DIGON, (v, u)))
         else:
             near_x = nbr[3 * x : 3 * x + 3]
@@ -141,7 +150,7 @@ def find_blocks(g: Multigraph) -> StructurePartition:
                 if v < h:
                     diamonds.append(Block(DIAMOND, (a, v, h, d)))
             else:
-                p, q = (x, y) if xy else (x, z) if xz else (y, z)
+                p, q, ext[v] = (x, y, z) if xy else (x, z, y) if xz else (y, z, x)
                 # p and q see v, each other and one vertex each: five in
                 # all iff both runs are simple and those two differ.
                 if v < p and len({*nbr[3 * p : 3 * p + 3], *nbr[3 * q : 3 * q + 3]}) == 5:
@@ -164,4 +173,5 @@ def find_blocks(g: Multigraph) -> StructurePartition:
         t=len(triangles) + sum(1 for b in pairs if b.kind == TRUMPET),
         p=len(triples) + sum(1 for b in pairs if b.kind == DIGON),
         vertex_to_block=tuple(vertex_to_block),
+        ext=tuple(ext),
     )

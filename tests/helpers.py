@@ -4,7 +4,8 @@ These deliberately avoid the library's internal shortcuts: component
 sizes come from an actual flood fill, the tiny brute-force minimum
 below enumerates colorings directly instead of reusing the oracle,
 ``reference_find_blocks`` finds the block cover by the ordered searches
-that the one-pass local rule of ``find_blocks`` replaced, and
+that the one-pass local rule of ``find_blocks`` replaced, and its
+matching between blocks by a scan of every adjacency slot,
 ``reference_is_desired`` checks the four conditions of a desired
 bisection over every triangle of the graph instead of tallying blocks,
 and ``reference_cover_json`` gives the cover as the dict that
@@ -172,12 +173,19 @@ def reference_find_blocks(g: Multigraph) -> StructurePartition:
     p = sum(1 for b in blocks if b.kind == DIGON)
     if 4 * k + 3 * t + 2 * p != n:
         raise PartitionError(f"block counts ({k}, {t}, {p}) do not cover n={n}")
+    # ext[v]: v's neighbor in another block, from a scan of every slot.
+    ext = [-1] * n
+    for u in range(n):
+        for v in nbr[start[u] : start[u + 1]]:
+            if vertex_to_block[v] != vertex_to_block[u]:
+                ext[u] = v
     return StructurePartition(
         blocks=tuple(blocks),
         k=k,
         t=t,
         p=p,
         vertex_to_block=tuple(vertex_to_block),
+        ext=tuple(ext),
     )
 
 

@@ -22,6 +22,7 @@ from cubisect import (
     mono_stats,
     ring_of_diamonds,
 )
+from cubisect.bisection import MONO_IN_TRIANGLE
 from cubisect.construct import require_cover
 from helpers import reference_is_desired, same_color_component_sizes
 
@@ -181,10 +182,13 @@ def test_desired_implies_2bisection(perm):
 def test_is_desired_matches_reference_and_epsilon(fixtures, corpus):
     """The block tally, the four-condition reference and epsilon == k+t
     agree on each coloring: the optimum, one-swap perturbations of it and
-    random balanced colorings of every graph with a cover."""
+    random balanced colorings of every graph with a cover. The tally's
+    monochromatic edges between blocks are the reference's, entry for
+    entry; the reference also lists monochromatic digons there."""
     rng = random.Random(12)
     graphs = [*fixtures.values(), *(g for _, g in corpus), *map(ring_of_diamonds, range(2, 9))]
     seen = {True: 0, False: 0}
+    mono_between = 0
     for g in graphs:
         try:
             part = require_cover(g)
@@ -197,11 +201,22 @@ def test_is_desired_matches_reference_and_epsilon(fixtures, corpus):
             i, j = rng.choice(black), rng.choice(white)
             colorings.append(Bisection.from_black_set(g.n, {*black, j} - {i}))
             colorings.append(Bisection.from_black_set(g.n, rng.sample(range(g.n), g.n // 2)))
+        block_of = part.vertex_to_block
         for b in colorings:
             desired = mono_stats(g, b).epsilon == part.k + part.t
-            assert reference_is_desired(g, part, b)[0] == is_desired(g, part, b)[0] == desired, (
+            ref_ok, ref_raw = reference_is_desired(g, part, b)
+            ok, raw = is_desired(g, part, b)
+            assert ref_ok == ok == desired, (g.edge_list(), b.colors)
+            between = [
+                (name, vs)
+                for name, vs in ref_raw
+                if name == MONO_IN_TRIANGLE and block_of[vs[0]] != block_of[vs[1]]
+            ]
+            assert [x for x in raw if x[0] == MONO_IN_TRIANGLE] == between, (
                 g.edge_list(),
                 b.colors,
             )
             seen[desired] += 1
+            mono_between += len(between)
     assert min(seen.values()) >= 100, seen
+    assert mono_between >= 100, mono_between

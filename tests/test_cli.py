@@ -191,6 +191,22 @@ def test_verify_bad_json_exits_1(tmp_path, capsys, fixtures):
         assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [b"[" * 100_000, b'{"black": [' + b"1" * 5001 + b'], "white": [0]}'],
+    ids=["nested_100000", "int_5001_digits"],
+)
+def test_verify_json_loads_refusal_exits_1(tmp_path, capsys, fixtures, bad):
+    # json.loads raises RecursionError on deep nesting and a plain
+    # ValueError on an integer past the digit limit; both are bad input.
+    gpath = write_graph(tmp_path, fixtures["triple_edge"])
+    bpath = tmp_path / "refused.json"
+    bpath.write_bytes(bad)
+    code, out, err = run_cli(capsys, ["verify", gpath, str(bpath)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bad bisection JSON: ")
+
+
 def test_stdin_input(capsys, monkeypatch, fixtures):
     monkeypatch.setattr("sys.stdin", stdin_bytes(format_graph(fixtures["prism"]).encode()))
     code, out, _ = run_cli(capsys, ["check", "-"])

@@ -71,6 +71,42 @@ def test_trumpet_classification():
     assert part.blocks[0].vertices == (0, 1, 2)  # apex first
 
 
+def _digon_ring(count: int) -> Multigraph:
+    """count doubled pairs in a cycle, each joined to the next by one edge."""
+    edges = []
+    for i in range(count):
+        edges += [(2 * i, 2 * i + 1)] * 2 + [(2 * i + 1, 2 * ((i + 1) % count))]
+    return Multigraph(2 * count, edges)
+
+
+def test_ext_is_the_matching_between_blocks(fixtures):
+    trumpets = Multigraph(
+        6, [(0, 1), (0, 2), (1, 2), (1, 2), (0, 3), (3, 4), (3, 5), (4, 5), (4, 5)]
+    )
+    graphs = [g for g in fixtures.values() if validate(g).in_class]
+    graphs += [trumpets, _digon_ring(5), generate(BlockRecipe(500, 2000, 1000, seed=2))]
+    seen = Counter()
+    for g in graphs:
+        part = find_blocks(g)
+        block_of, ext = part.vertex_to_block, part.ext
+        inside = set()
+        for b in part.blocks:
+            vs = b.vertices
+            if b.kind == DIAMOND:
+                inside.update(vs[1:3])  # the shared side
+            elif b.kind == TRUMPET:
+                inside.update(vs[1:])  # the doubled pair
+            elif g.n == 2:
+                inside.update(vs)  # the triple edge
+            seen[b.kind] += 1
+        assert {v for v in range(g.n) if ext[v] == -1} == inside
+        for v, u in enumerate(ext):
+            if u != -1:
+                assert ext[u] == v and block_of[u] != block_of[v]
+                assert g.multiplicity(u, v) == 1
+    assert seen[TRUMPET] >= 5 and seen[DIGON] >= 7 and seen[DIAMOND] and seen[TRIANGLE]
+
+
 def test_vertex_to_block_total(corpus):
     for _, g in corpus:
         part = find_blocks(g)
