@@ -118,6 +118,8 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:  # malformed, over-long ints, deep nesting
         raise GraphFormatError(f"bad bisection JSON: {exc}") from exc
+    if isinstance(obj, dict) and isinstance(obj.get("bisection"), dict):
+        obj = obj["bisection"]  # the document bisect writes
     b = bisection_from_json(obj, g.n)
     stats = mono_stats(g, b)
     two = is_2bisection(g, b)

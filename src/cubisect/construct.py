@@ -141,36 +141,30 @@ def desired_bisection_csp(g: Multigraph, part: StructurePartition) -> Bisection:
             adj[x].append(e)
             adj[y].append(e)
 
-        # Iterative Hierholzer from the dummy. Entries leave the stack in
-        # reverse circuit order, so the circuit read backwards leaves node
-        # x along edge e for each popped (x, e) but the last.
+        # Iterative Hierholzer from the dummy, with one scan per adjacency
+        # list. Entries leave the stack in reverse circuit order, so the
+        # circuit read backwards leaves node x along edge e for each popped
+        # (x, e) but the last: paint that chain as its entry pops. A dummy
+        # edge, or the end, carries the departure color over.
         used = [False] * len(edges)
-        pos = [0] * (dummy + 1)
+        scans = [iter(out_edges) for out_edges in adj]
         stack: list[tuple[int, int]] = [(dummy, -1)]
-        circuit: list[tuple[int, int]] = []
-        while stack:
-            x, _ = stack[-1]
-            out_edges = adj[x]
-            j = pos[x]
-            while j < len(out_edges) and used[out_edges[j]]:
-                j += 1
-            pos[x] = j
-            if j == len(out_edges):
-                circuit.append(stack.pop())
-                continue
-            e = out_edges[j]
-            used[e] = True
-            a, b = edges[e]
-            stack.append((b if a == x else a, e))
-
         departure = BLACK
-        for x, e in circuit:
-            if not 0 <= e < len(ends):
-                continue  # dummy edge or the end: departure color carries over
-            p, q = ends[e]
-            if block_of[p] != x:
-                p = q
-            departure = 1 - colors[paint(p, departure)]
+        while stack:
+            x = stack[-1][0]
+            for e in scans[x]:
+                if not used[e]:
+                    used[e] = True
+                    a, b = edges[e]
+                    stack.append((b if a == x else a, e))
+                    break
+            else:
+                x, e = stack.pop()
+                if 0 <= e < len(ends):
+                    p, q = ends[e]
+                    if block_of[p] != x:
+                        p = q
+                    departure = 1 - colors[paint(p, departure)]
 
     if -1 in colors or 2 * colors.count(BLACK) != n:
         raise CertificateError(
@@ -214,8 +208,8 @@ def reduce_diamond(g: Multigraph, diamond: Block) -> DiamondReduction:
         raise ValueError("reduce_diamond needs a diamond block")
     a, b, c, d = diamond.vertices
 
-    (x,) = [u for u in g.distinct_neighbors(a) if u not in (b, c, d)]
-    (y,) = [u for u in g.distinct_neighbors(d) if u not in (a, b, c)]
+    (x,) = [u for u in g.neighbors(a) if u not in (b, c, d)]
+    (y,) = [u for u in g.neighbors(d) if u not in (a, b, c)]
     if x == y:
         # x would need degree >= 2 into the diamond plus its other edges;
         # impossible in a cubic graph unless n == 6, where the graph is a
@@ -226,7 +220,7 @@ def reduce_diamond(g: Multigraph, diamond: Block) -> DiamondReduction:
     vertex_map = tuple(v for v in range(g.n) if v not in removed)
     new_label = {old: new for new, old in enumerate(vertex_map)}
 
-    was_present = g.adjacent(x, y)
+    was_present = y in g.neighbors(x)
     edges = [
         (new_label[u], new_label[v])
         for u, v in g.edge_list()

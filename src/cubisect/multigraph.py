@@ -11,7 +11,7 @@ multigraph, the only family this package targets).
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, compress, islice, repeat
@@ -91,31 +91,11 @@ class Multigraph:
     def neighbors(self, v: int) -> list[int]:
         """v's neighbors in increasing order, each repeated once per
         parallel edge (a fresh list)."""
-        # The range test is inlined: the hot loops call this once per vertex.
+        # The hot loops read _nbr directly; this serves the K4 test, the
+        # oracle's bitmasks, reduce_diamond and the tests.
         if not 0 <= v < self.n:
             raise IndexError(f"vertex {v} out of range for n={self.n}")
         return self._nbr[self._start[v] : self._start[v + 1]]
-
-    def degree(self, v: int) -> int:
-        """Sum of multiplicities of edges incident to v."""
-        self._check_vertex(v)
-        return self._start[v + 1] - self._start[v]
-
-    def distinct_neighbors(self, v: int) -> frozenset[int]:
-        """Vertices joined to v by at least one edge, ignoring multiplicity."""
-        return frozenset(self.neighbors(v))
-
-    def multiplicity(self, u: int, v: int) -> int:
-        """Number of parallel edges between u and v (0 if none)."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if u == v:
-            return 0
-        lo, hi = self._start[u], self._start[u + 1]
-        return bisect_right(self._nbr, v, lo, hi) - bisect_left(self._nbr, v, lo, hi)
-
-    def adjacent(self, u: int, v: int) -> bool:
-        return self.multiplicity(u, v) > 0
 
     def edge_list(self) -> list[tuple[int, int]]:
         """Edges expanded by multiplicity, sorted by (min, max) endpoint."""
@@ -135,16 +115,6 @@ class Multigraph:
     def edge_count(self) -> int:
         """Total number of edges counted with multiplicity."""
         return len(self._nbr) // 2
-
-    def relabel(self, perm) -> "Multigraph":
-        """Return the graph with vertex v renamed to perm[v]."""
-        if sorted(perm) != list(range(self.n)):
-            raise ValueError("perm must be a permutation of 0..n-1")
-        return Multigraph._from_ends(self.n, [perm[x] for x in chain.from_iterable(self.edge_list())])
-
-    def _check_vertex(self, v: int) -> None:
-        if not (0 <= v < self.n):
-            raise IndexError(f"vertex {v} out of range for n={self.n}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Multigraph):

@@ -66,7 +66,7 @@ def oracle_min(g: Multigraph, limit: int = DEFAULT_LIMIT) -> OracleResult:
     n = g.n
     nbr = [0] * n
     for v in range(n):
-        for u in g.distinct_neighbors(v):
+        for u in g.neighbors(v):
             nbr[v] |= 1 << u
     pairs = g.edge_pairs()
 

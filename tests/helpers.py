@@ -10,6 +10,7 @@ matching between blocks by a scan of every adjacency slot,
 bisection over every triangle of the graph instead of tallying blocks,
 and ``reference_cover_json`` gives the cover as the dict that
 ``json.dumps(..., indent=2)`` turns into the text ``partition`` prints.
+``relabel`` renames vertices for the label-invariance tests.
 """
 
 from __future__ import annotations
@@ -42,13 +43,20 @@ def same_color_component_sizes(g: Multigraph, colors) -> list[int]:
         stack = [start]
         while stack:
             v = stack.pop()
-            for u in g.distinct_neighbors(v):
+            for u in g.neighbors(v):
                 if not seen[u] and colors[u] == colors[v]:
                     seen[u] = True
                     size += 1
                     stack.append(u)
         sizes.append(size)
     return sizes
+
+
+def relabel(g: Multigraph, perm) -> Multigraph:
+    """g with vertex v renamed to perm[v]."""
+    if sorted(perm) != list(range(g.n)):
+        raise ValueError("perm must be a permutation of 0..n-1")
+    return Multigraph(g.n, [(perm[u], perm[v]) for u, v in g.edge_list()])
 
 
 def epsilon_of(g: Multigraph, colors) -> int:
@@ -285,13 +293,13 @@ def enumerate_diamonds(g: Multigraph) -> list[frozenset[int]]:
     for b, c, m in g.edge_pairs():
         if m != 1:
             continue
-        common = sorted(g.distinct_neighbors(b) & g.distinct_neighbors(c))
+        common = sorted(set(g.neighbors(b)) & set(g.neighbors(c)))
         if len(common) != 2:
             continue
         a, d = common
-        if g.adjacent(a, d):
+        if d in g.neighbors(a):
             continue
-        if all(g.multiplicity(x, y) == 1 for x, y in ((a, b), (a, c), (b, d), (c, d))):
+        if all(g.neighbors(x).count(y) == 1 for x, y in ((a, b), (a, c), (b, d), (c, d))):
             found.append(frozenset((a, b, c, d)))
     return found
 

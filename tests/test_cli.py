@@ -165,6 +165,26 @@ def test_verify_roundtrip(tmp_path, capsys, fixtures):
     assert obj["violations"][0][0] == "diamond_one_mono"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_reads_the_bisect_document(tmp_path, capsys, monkeypatch, fmt):
+    # bisect G | verify G - : the nested "bisection" object is read.
+    for name, g in CURATED.items():
+        if name in ("k4", "q3"):
+            continue
+        gpath = write_graph(tmp_path, g)
+        code, doc, _ = run_cli(capsys, ["bisect", gpath])
+        assert code == 0
+        epsilon = json.loads(doc)["certificate"]["epsilon"]
+        monkeypatch.setattr("sys.stdin", stdin_bytes(doc.encode()))
+        code, out, err = run_cli(capsys, ["verify", gpath, "-", "--format", fmt])
+        assert (code, err) == (0, ""), name
+        if fmt == "json":
+            obj = json.loads(out)
+            assert obj["is_2bisection"] is True and obj["epsilon"] == epsilon, name
+        else:
+            assert "2-bisection: yes" in out and f"epsilon: {epsilon} " in out, name
+
+
 def test_verify_text_flags_bad_coloring(tmp_path, capsys, fixtures):
     g = fixtures["prism"]
     gpath = write_graph(tmp_path, g)

@@ -16,7 +16,7 @@ from cubisect import (
     parse_graph,
     validate,
 )
-from helpers import triangles
+from helpers import relabel, triangles
 
 
 def triple_edge():
@@ -25,10 +25,10 @@ def triple_edge():
 
 def test_multiplicity_accumulates():
     g = triple_edge()
-    assert g.multiplicity(0, 1) == 3
-    assert g.multiplicity(1, 0) == 3
-    assert g.degree(0) == 3
-    assert g.distinct_neighbors(0) == frozenset({1})
+    assert g.neighbors(0).count(1) == 3
+    assert g.neighbors(1).count(0) == 3
+    assert len(g.neighbors(0)) == 3
+    assert set(g.neighbors(0)) == {1}
     assert g.edge_count == 3
 
 
@@ -52,13 +52,13 @@ def test_edge_views_sorted():
 def test_relabel_roundtrip():
     g = Multigraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
     perm = [2, 0, 3, 1]
-    h = g.relabel(perm)
+    h = relabel(g, perm)
     inverse = [0] * 4
     for old, new in enumerate(perm):
         inverse[new] = old
-    assert h.relabel(inverse) == g
+    assert relabel(h, inverse) == g
     with pytest.raises(ValueError):
-        g.relabel([0, 0, 1, 2])
+        relabel(g, [0, 0, 1, 2])
 
 
 def test_validate_k4():
@@ -112,15 +112,15 @@ def test_triangle_listing():
 
 def test_handshake_identity(corpus):
     for _, g in corpus:
-        assert sum(g.degree(v) for v in range(g.n)) == 2 * g.edge_count
+        assert sum(len(g.neighbors(v)) for v in range(g.n)) == 2 * g.edge_count
 
 
 def test_claw_witness_is_a_claw(fixtures):
     g = fixtures["q3"]
     rep = validate(g)
     v, a, b, c = rep.claw_witness
-    assert all(g.adjacent(v, u) for u in (a, b, c))
-    assert not any(g.adjacent(x, y) for x, y in ((a, b), (a, c), (b, c)))
+    assert all(u in g.neighbors(v) for u in (a, b, c))
+    assert not any(y in g.neighbors(x) for x, y in ((a, b), (a, c), (b, c)))
 
 
 @given(st.data())
@@ -136,8 +136,8 @@ def test_claw_witness_is_the_first_claw(data):
     g = Multigraph(n, [pair for pair, m in zip(pairs, mults) for _ in range(m)])
     first = None
     for v in range(n):
-        for a, b, c in combinations(sorted(g.distinct_neighbors(v)), 3):
-            if not (g.adjacent(a, b) or g.adjacent(a, c) or g.adjacent(b, c)):
+        for a, b, c in combinations(sorted(set(g.neighbors(v))), 3):
+            if not (b in g.neighbors(a) or c in g.neighbors(a) or c in g.neighbors(b)):
                 first = (v, a, b, c)
                 break
         if first:
@@ -203,7 +203,7 @@ def test_roundtrip_random_multigraphs(data):
 @settings(deadline=None, max_examples=40)
 def test_validation_is_label_invariant(perm):
     g = Multigraph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5)])
-    a, b = validate(g), validate(g.relabel(perm))
+    a, b = validate(g), validate(relabel(g, perm))
     assert (a.is_cubic, a.is_connected, a.is_claw_free, a.is_k4) == (
         b.is_cubic,
         b.is_connected,
@@ -244,12 +244,7 @@ def test_flat_layout_matches_a_multiplicity_model(data):
     assert g.edge_count == sum(model.values())
     for v in range(n):
         incident = {(p[0] if p[1] == v else p[1]): m for p, m in model.items() if v in p}
-        assert g.degree(v) == sum(incident.values())
-        assert g.distinct_neighbors(v) == frozenset(incident)
         assert g.neighbors(v) == sorted(u for u, m in incident.items() for _ in range(m))
-        for u in range(n):
-            assert g.multiplicity(u, v) == incident.get(u, 0)
-            assert g.adjacent(u, v) == (u in incident)
 
     h = Multigraph(n, _shuffled(edges, rng))
     assert h == g and hash(h) == hash(g)
