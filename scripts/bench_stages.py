@@ -13,9 +13,10 @@ block cover's JSON text, what `cubisect partition` prints), construct
 (the Euler walk along that matching), certify (mono_stats and
 is_2bisection), desired (is_desired on the constructed coloring, what
 `cubisect verify` runs beyond certify, reading the matching too) and
-serialize (the bisection JSON). For each stage the file records the best wall time of REPEAT
-runs and, from one more run under tracemalloc, the peak of the traced
-Python heap while the stage runs; results of earlier stages are live
+serialize (the bisection JSON, written as `cubisect bisect` writes it).
+For each stage the file records the best wall time of REPEAT runs and,
+from one more run under tracemalloc, the peak of the traced Python heap
+while the stage runs; results of earlier stages are live
 then, as in the CLI. Each rung also records the wall time of `cubisect
 check`, `cubisect partition` and `cubisect bisect` run as child
 processes, and the child's peak resident set (VmHWM, Linux only; null
@@ -35,7 +36,10 @@ import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
-sys.path.insert(0, SRC)
+if __name__ == "__main__":
+    # Run as a script, it times this checkout's package; imported, it
+    # leaves sys.path to the importer.
+    sys.path.insert(0, SRC)
 
 from cubisect import (  # noqa: E402
     BlockRecipe,
@@ -49,6 +53,7 @@ from cubisect import (  # noqa: E402
     mono_stats,
     parse_graph,
 )
+from cubisect.cli import _dict_json  # noqa: E402
 from cubisect.multigraph import is_connected  # noqa: E402
 
 SIZES = (1000, 10_000, 100_000, 480_000)
@@ -110,7 +115,7 @@ def pipeline(text: str):
         is_desired(state["g"], state["part"], state["bis"])
 
     def serialize():
-        json.dumps(bisection_to_json(state["bis"], state["stats"]), indent=2)
+        _dict_json({"bisection": bisection_to_json(state["bis"], state["stats"])})
 
     return [
         ("parse", parse),

@@ -64,6 +64,24 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _dict_json(obj: dict, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2) for a non-empty dict whose values are JSON
+    scalars, lists of ints or such dicts, written by joining strings: an
+    indented dump runs the pure-Python encoder over every list item."""
+    inner = pad + "  "
+    items = []
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            text = _dict_json(value, inner)
+        elif isinstance(value, list):
+            sep = "," + inner + "  "
+            text = f"[{inner}  {sep.join(map(str, value))}{inner}]" if value else "[]"
+        else:
+            text = json.dumps(value)
+        items.append(f"{json.dumps(key)}: {text}")
+    return "{" + inner + ("," + inner).join(items) + pad + "}"
+
+
 def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
@@ -98,7 +116,7 @@ def _cmd_bisect(args: argparse.Namespace) -> tuple[int, str]:
     if args.format == "dot":
         return 0, _dot_graph(g, bis.colors)
     payload = {"bisection": bisection_to_json(bis, cert.stats), "certificate": cert.to_json()}
-    return 0, _json_text(payload)
+    return 0, _dict_json(payload) + "\n"
 
 
 def _cmd_oracle(args: argparse.Namespace) -> tuple[int, str]:

@@ -15,11 +15,27 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, compress, islice, repeat
-from operator import eq, gt, lt
+from operator import eq, gt, itemgetter, le, lt
 
 from .errors import GraphFormatError
 
 MAX_MULTIPLICITY = 3
+
+
+def _check_ends(n: int, ends: list[int]) -> None:
+    """Raise ValueError unless n is positive and every edge (ends[0],
+    ends[1]), (ends[2], ends[3]), ... joins two distinct vertices in
+    0..n-1, naming the first edge that does not."""
+    if n < 1:
+        raise ValueError(f"vertex count must be positive, got {n}")
+    it = iter(ends)
+    if ends and (min(ends) < 0 or max(ends) >= n) or any(map(eq, it, it)):
+        it = iter(ends)
+        for u, v in zip(it, it):
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+            if u == v:
+                raise ValueError(f"loop at vertex {u} not allowed")
 
 
 class Multigraph:
@@ -36,25 +52,22 @@ class Multigraph:
         pairs = list(edges)
         if not set(map(len, pairs)) <= {2}:
             raise ValueError("every edge needs exactly two endpoints")
-        self._fill(n, list(chain.from_iterable(pairs)))
+        ends = list(chain.from_iterable(pairs))
+        _check_ends(n, ends)
+        self._fill(n, ends, False)
 
     @classmethod
-    def _from_ends(cls, n: int, ends: list[int]) -> "Multigraph":
-        """The graph with edges (ends[0], ends[1]), (ends[2], ends[3]), ..."""
+    def _from_ends(cls, n: int, ends: list[int], in_order: bool) -> "Multigraph":
+        """The graph with edges (ends[0], ends[1]), (ends[2], ends[3]), ...,
+        which _check_ends or the caller has checked; in_order says that
+        each edge has u < v and the edges come in increasing (u, v) order."""
         g = cls.__new__(cls)
-        g._fill(n, ends)
+        g._fill(n, ends, in_order)
         return g
 
-    def _fill(self, n: int, ends: list[int]) -> None:
-        if n < 1:
-            raise ValueError(f"vertex count must be positive, got {n}")
-        us, vs = ends[0::2], ends[1::2]
-        if ends and (min(ends) < 0 or max(ends) >= n) or any(map(eq, us, vs)):
-            for u, v in zip(us, vs):
-                if not (0 <= u < n and 0 <= v < n):
-                    raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-                if u == v:
-                    raise ValueError(f"loop at vertex {u} not allowed")
+    def _fill(self, n: int, ends: list[int], in_order: bool) -> None:
+        # _nbr holds the objects of ends itself, so a parsed graph keeps 2m
+        # references to its n label objects rather than 2m ints of its own.
         deg = [0] * n
         for x in ends:
             deg[x] += 1
@@ -62,19 +75,27 @@ class Multigraph:
         start += accumulate(deg)
         pos = start[:-1]
         nbr = [0] * len(ends)
-        for u, v in zip(us, vs):
+        # Each edge is a pair of consecutive ends, read off one iterator.
+        it = iter(ends)
+        for u, v in zip(it, it):
             i = pos[u]
             nbr[i] = v
             pos[u] = i + 1
             i = pos[v]
             nbr[i] = u
             pos[v] = i + 1
-        # Runs come out sorted when the edges arrive sorted, as format_graph
-        # writes them; sort the runs that hold a descent anywhere but at
-        # their first slot. On parsed files this beats sorting every run.
-        descents = compress(range(1, len(nbr)), map(gt, nbr, islice(nbr, 1, None)))
-        for v in {bisect_right(start, j) - 1 for j in set(descents).difference(start)}:
-            nbr[start[v] : start[v + 1]] = sorted(nbr[start[v] : start[v + 1]])
+        # Edges in order, as format_graph writes them, fill every run in
+        # order: v's smaller neighbors by their edges (u, v), then its larger
+        # ones by its own edges (v, w). Otherwise sort the runs that hold a
+        # descent anywhere but at their first slot. Nearly every run boundary
+        # is a descent, so the descents are screened against a mask of the
+        # run starts in C rather than gathered into a set of about n entries.
+        if not in_order:
+            is_start = bytearray(len(nbr) + 1)
+            any(map(is_start.__setitem__, start, repeat(1)))  # setitem returns None
+            inner = map(gt, map(gt, nbr, islice(nbr, 1, None)), islice(is_start, 1, None))
+            for v in {bisect_right(start, j) - 1 for j in compress(range(1, len(nbr)), inner)}:
+                nbr[start[v] : start[v + 1]] = sorted(nbr[start[v] : start[v + 1]])
         # Only a vertex of degree above the cap can carry a pair above it.
         for v in compress(range(n), map(lt, repeat(MAX_MULTIPLICITY), deg)):
             run = nbr[start[v] : start[v + 1]]
@@ -236,18 +257,99 @@ def _find_claw(g: Multigraph) -> tuple[int, int, int, int] | None:
 #   u v          (m lines, 0-based endpoints, one line per parallel edge)
 
 
+# Characters per slice of the text that _read_edges reads at once.
+_SLICE = 1 << 16
+
+
 def parse_graph(text: str) -> Multigraph:
     """Parse the edge-list text format; raises GraphFormatError on bad input."""
-    n, ends = _read_edges(text)
     try:
-        return Multigraph._from_ends(n, ends)
+        return Multigraph._from_ends(*_read_edges(text))
+    except GraphFormatError:
+        raise
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from exc
 
 
-def _read_edges(text: str) -> tuple[int, list[int]]:
-    """The vertex count and the flat endpoint list u0 v0 u1 v1 ... of the
-    edge lines; the lines themselves are dropped on return."""
+def _read_edges(text: str) -> tuple[int, list[int], bool]:
+    """The vertex count, the flat endpoint list u0 v0 u1 v1 ... of the edge
+    lines, holding one shared int object per vertex label, and whether the
+    lines are in format_graph's order: u < v, by increasing (u, v).
+
+    The text is read in slices of about _SLICE characters, each cut just
+    after a newline, so only one slice's lines and tokens are alive at a
+    time. Any fault (a header that is not two integers or n < 1, an edge
+    line that is not two distinct labels in 0..n-1, a line count other than
+    m) sends the whole text to _read_all_edges, which names the fault.
+    """
+    n = m = None
+    labels: list[int] = []
+    ends: list[int] = []
+    count = 0
+    in_order = True
+    last = (-1, -1)
+    at = 0
+    while at < len(text):
+        cut = text.find("\n", at + _SLICE) + 1 or len(text)
+        piece = text[at:cut]
+        at = cut
+        lines = list(filter(None, map(str.strip, piece.splitlines())))
+        if "#" in piece:
+            lines = [ln for ln in lines if not ln.startswith("#")]
+        if n is None and lines:
+            try:
+                n, m = map(int, lines[0].split())
+            except ValueError:
+                return _read_all_edges(text)
+            del lines[0]
+        if not lines:
+            continue
+        count += len(lines)
+        # One split for every edge line, with a "#" token between lines. No
+        # comment line is left and no integer reads "#", so each line holds
+        # exactly two integers iff every third token is a "#" and the others
+        # are integers. With no "-" there is no negative one.
+        joined = " # ".join(lines)
+        tokens = joined.split()
+        if "-" in joined or len(tokens) != 3 * len(lines) - 1 or tokens[2::3] != ["#"] * (len(lines) - 1):
+            return _read_all_edges(text)
+        del tokens[2::3]
+        try:
+            ints = list(map(int, tokens))
+        except ValueError:
+            return _read_all_edges(text)
+        us, vs = ints[0::2], ints[1::2]
+        if any(map(eq, us, vs)):
+            return _read_all_edges(text)
+        # Checked here, on the slice's own ints, the order is cheap; on the
+        # filled layout it would take a pass over scattered label objects.
+        if in_order:
+            in_order = (
+                last <= (us[0], vs[0])
+                and all(map(lt, us, vs))
+                and all(map(le, zip(us, vs), zip(islice(us, 1, None), islice(vs, 1, None))))
+            )
+            last = (us[-1], vs[-1])
+        # The parsed ints are dropped with the slice; the graph keeps 2m
+        # references to n label objects, not 2m objects of its own. The
+        # labels wait for a good slice, so that a huge n in a bad file
+        # allocates nothing before the fault is named.
+        labels = labels or list(range(n))
+        try:
+            # At least two items, so itemgetter gives a tuple.
+            ends += itemgetter(*ints)(labels)
+        except IndexError:  # a label of n or more
+            return _read_all_edges(text)
+    if n is None or n < 1 or count != m:
+        return _read_all_edges(text)
+    return n, ends, in_order
+
+
+def _read_all_edges(text: str) -> tuple[int, list[int], bool]:
+    """_read_edges on the whole text at once, with a fresh int per end:
+    raises GraphFormatError on the first fault in the text, header first,
+    or ValueError (from _check_ends) on the first edge out of range or
+    looped."""
     lines = list(filter(None, map(str.strip, text.splitlines())))
     if "#" in text:
         lines = [ln for ln in lines if not ln.startswith("#")]
@@ -263,18 +365,9 @@ def _read_edges(text: str) -> tuple[int, list[int]]:
     body = lines[1:]
     if len(body) != m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(body)}")
-    # One split for every edge line, with a "#" token between lines. No
-    # comment line is left and no integer reads "#", so each line holds
-    # exactly two integers iff every third token is a "#" and the others
-    # are integers.
-    tokens = " # ".join(body).split()
-    if len(tokens) == 3 * m - 1 and tokens[2::3] == ["#"] * (m - 1):
-        del tokens[2::3]
-        try:
-            return n, list(map(int, tokens))
-        except ValueError:
-            pass
-    return n, _edge_line_ends(body)
+    ends = _edge_line_ends(body)
+    _check_ends(n, ends)
+    return n, ends, False
 
 
 def _edge_line_ends(body: list[str]) -> list[int]:

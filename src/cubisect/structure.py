@@ -63,6 +63,8 @@ class StructurePartition:
     ``ext`` is the matching formed by the (simple) edges between blocks:
     ext[v] is v's neighbor in another block, or -1 when v has none (a
     diamond's shared side, a trumpet's doubled pair, the triple edge).
+    ``vertex_to_block`` and ``ext`` are the lists find_blocks filled, not
+    copies, so that no second n-long copy is alive; callers only read them.
 
     ``json_text`` writes it as `cubisect partition` prints it: the blocks
     in cover order, each with its kind and its vertices in role order,
@@ -73,8 +75,8 @@ class StructurePartition:
     k: int  # diamonds
     t: int  # triangles + trumpets
     p: int  # digons (a triple edge counts as one digon)
-    vertex_to_block: tuple[int, ...]
-    ext: tuple[int, ...]
+    vertex_to_block: list[int]
+    ext: list[int]
 
     @property
     def diamond_blocks(self) -> list[Block]:
@@ -172,6 +174,6 @@ def find_blocks(g: Multigraph) -> StructurePartition:
         k=len(diamonds),
         t=len(triangles) + sum(1 for b in pairs if b.kind == TRUMPET),
         p=len(triples) + sum(1 for b in pairs if b.kind == DIGON),
-        vertex_to_block=tuple(vertex_to_block),
-        ext=tuple(ext),
+        vertex_to_block=vertex_to_block,
+        ext=ext,
     )

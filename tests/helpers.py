@@ -192,8 +192,8 @@ def reference_find_blocks(g: Multigraph) -> StructurePartition:
         k=k,
         t=t,
         p=p,
-        vertex_to_block=tuple(vertex_to_block),
-        ext=tuple(ext),
+        vertex_to_block=vertex_to_block,
+        ext=ext,
     )
 
 

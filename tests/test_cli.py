@@ -8,13 +8,17 @@ import pytest
 import cubisect.cli as cli
 import cubisect.construct as construct
 from cubisect import (
+    BlockRecipe,
     CertificateError,
     PartitionError,
+    bisection_to_json,
     curated_suite,
     find_blocks,
     format_graph,
+    generate,
     min_bisection,
     ring_of_diamonds,
+    validate,
 )
 from helpers import reference_cover_json
 
@@ -567,3 +571,18 @@ BISECT_STDOUT = {
 def test_bisect_stdout_pinned(tmp_path, capsys, fixtures, name):
     code, out, _ = run_cli(capsys, ["bisect", write_graph(tmp_path, fixtures[name])])
     assert code == 0 and out == BISECT_STDOUT[name]
+
+
+def test_bisect_json_is_the_indented_dump(tmp_path, capsys, fixtures, corpus):
+    graphs = [g for g in fixtures.values() if validate(g).in_class]
+    graphs += [g for _, g in corpus]
+    # bench_stages.py's n = 10^4 rungs, even and odd k.
+    graphs += [generate(BlockRecipe(626, 2082, 625, seed=1)), generate(BlockRecipe(625, 2082, 625, seed=1))]
+    parities = set()
+    for g in graphs:
+        code, out, _ = run_cli(capsys, ["bisect", write_graph(tmp_path, g)])
+        bis, cert = min_bisection(g)
+        payload = {"bisection": bisection_to_json(bis, cert.stats), "certificate": cert.to_json()}
+        assert code == 0 and out == json.dumps(payload, indent=2) + "\n"
+        parities.add((g.n > 9000, cert.parity))
+    assert parities == {(False, 0), (False, 1), (True, 0), (True, 1)}

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import re
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -8,12 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubisect import (
+    BlockRecipe,
     GraphFormatError,
     Multigraph,
     find_blocks,
     format_graph,
+    generate,
     min_bisection,
     parse_graph,
+    ring_of_diamonds,
     validate,
 )
 from helpers import relabel, triangles
@@ -153,27 +158,95 @@ def test_parse_format_roundtrip_exact():
     assert parse_graph(commented) == g
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        "",
-        "not a header\n",
-        "2 1\n",
-        "2 1\n0 1\n0 1\n",
-        "2 1\n0\n",
-        "2 1\n0 x\n",
-        "2 1\n0 5\n",
-        "1 1\n0 0\n",
-        "3 2\n0\n1 2 0\n",
-        "2 1\n0 1 # x\n",
-        "2 1\n0 #\n",
-        "2 4\n0 1\n0 1\n0 1\n1 0\n",
-        "0 0\n",
-    ],
-)
+# Each malformed text with the exact error it raises.
+PARSE_ERRORS = {
+    "": "empty graph file",
+    "not a header\n": "expected header 'n m', got 'not a header'",
+    "2 1\n": "expected 1 edge lines, found 0",
+    "2 1\n0 1\n0 1\n": "expected 1 edge lines, found 2",
+    "2 1\n0\n": "expected edge line 'u v', got '0'",
+    "2 1\n0 x\n": "non-integer edge line '0 x'",
+    "2 1\n0 5\n": "edge (0, 5) out of range for n=2",
+    "1 1\n0 0\n": "loop at vertex 0 not allowed",
+    "3 2\n0\n1 2 0\n": "expected edge line 'u v', got '0'",
+    "2 1\n0 1 # x\n": "expected edge line 'u v', got '0 1 # x'",
+    "2 1\n0 #\n": "non-integer edge line '0 #'",
+    "2 4\n0 1\n0 1\n0 1\n1 0\n": "edge (0, 1) has multiplicity > 3",
+    "0 0\n": "vertex count must be positive, got 0",
+}
+
+
+@pytest.mark.parametrize("bad", list(PARSE_ERRORS))
 def test_parse_rejects(bad):
-    with pytest.raises(GraphFormatError):
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(PARSE_ERRORS[bad])}$"):
         parse_graph(bad)
+
+
+# 116,681 characters, read in two slices: n = 8000, m = 12000, and the
+# last edge line, in the second slice, is "7998 7999".
+BIG = format_graph(ring_of_diamonds(2000))
+
+
+@pytest.mark.parametrize(
+    "last, message",
+    [
+        ("7998 x", "non-integer edge line '7998 x'"),
+        ("7998 7999 0", "expected edge line 'u v', got '7998 7999 0'"),
+        ("", "expected 12000 edge lines, found 11999"),
+        ("7998 8000", "edge (7998, 8000) out of range for n=8000"),
+        ("-1 7999", "edge (-1, 7999) out of range for n=8000"),
+        ("7998 2147483648", "edge (7998, 2147483648) out of range for n=8000"),
+    ],
+    ids=["token", "three-tokens", "line-short", "label-n", "negative", "label-2-31"],
+)
+def test_parse_rejects_a_fault_in_a_later_slice(last, message):
+    assert BIG.endswith("\n7998 7999\n")
+    bad = BIG[: -len("7998 7999\n")] + (last and last + "\n")
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
+        parse_graph(bad)
+
+
+def test_parse_reads_crlf_and_comments_across_slices():
+    lines = BIG.splitlines()
+    # A comment and a blank line every 500 lines, indents and CRLF ends.
+    noisy = []
+    for i, ln in enumerate(lines):
+        if i % 500 == 0:
+            noisy += [f"# block {i}", ""]
+        noisy.append(f"  {ln} " if i % 7 == 0 else ln)
+    text = "\r\n".join(noisy) + "\r\n"
+    assert len(text) > 2 * 2**16  # three slices
+    g = parse_graph(text)
+    assert g == parse_graph(BIG)
+    assert format_graph(g) == BIG
+    # Out of order, and with each edge written both ways round.
+    edges = lines[1:]
+    random.Random(5).shuffle(edges)
+    edges = [" ".join(reversed(e.split())) if i % 2 else e for i, e in enumerate(edges)]
+    assert format_graph(parse_graph("\n".join(lines[:1] + edges))) == BIG
+
+
+def test_parse_reads_signed_labels():
+    # A "-" sends the text to the whole-text reader, which accepts "-0".
+    assert parse_graph("2 3\n-0 +1\n0 1\n1 -0\n") == triple_edge()
+    with pytest.raises(GraphFormatError, match=r"^edge \(0, -2\) out of range for n=2$"):
+        parse_graph("2 1\n0 -2\n")
+    with pytest.raises(GraphFormatError, match=r"^edge \(0, 10{30}\) out of range for n=2$"):
+        parse_graph("2 1\n0 1" + "0" * 30 + "\n")
+
+
+def test_parse_peak_memory_is_bounded():
+    # bench_stages.py's n = 10^4 rung (even k). Reading the whole text at
+    # once, with a fresh int per endpoint, peaked at 3.96 MB here; reading
+    # it in slices onto shared label objects peaks near 3.2 MB.
+    text = format_graph(generate(BlockRecipe(626, 2082, 625, seed=1)))
+    tracemalloc.start()
+    try:
+        parse_graph(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.6 * 2**20
 
 
 def test_multiplicity_error_names_the_pair_at_the_lowest_vertex():

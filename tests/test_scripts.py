@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import os
+import sys
 
 import pytest
 
@@ -31,6 +32,12 @@ def test_bench_stages_pipeline_runs_every_stage(parity):
     assert names == [
         "parse", "validate", "find_blocks", "cover", "construct", "certify", "desired", "serialize",
     ]
+
+
+def test_loading_bench_stages_leaves_sys_path_alone():
+    before = list(sys.path)
+    load("bench_stages")
+    assert sys.path == before
 
 
 def test_fixture_report(capsys):
