@@ -14,13 +14,18 @@ block cover's JSON text, what `cubisect partition` prints), construct
 is_2bisection), desired (is_desired on the constructed coloring, what
 `cubisect verify` runs beyond certify, reading the matching too) and
 serialize (the bisection JSON, written as `cubisect bisect` writes it).
-For each stage the file records the best wall time of REPEAT runs and,
-from one more run under tracemalloc, the peak of the traced Python heap
-while the stage runs; results of earlier stages are live
-then, as in the CLI. Each rung also records the wall time of `cubisect
-check`, `cubisect partition` and `cubisect bisect` run as child
-processes, and the child's peak resident set (VmHWM, Linux only; null
-elsewhere).
+Each rung also runs `cubisect check`, `cubisect partition` and `cubisect
+bisect` as child processes.
+
+Every rung's input is written once, then the whole ladder runs REPEAT
+times, in reverse order on alternate rounds, so that a slow spell of the
+host spreads over the rungs rather than moving whole rows. Each round
+times every stage once and runs every child once. For each stage the file
+records the best wall time across rounds and, from one more run under
+tracemalloc, the peak of the traced Python heap while the stage runs;
+results of earlier stages are live then, as in the CLI. For each child it
+records the best wall time and the largest peak resident set (VmHWM,
+Linux only; null elsewhere).
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ from cubisect.multigraph import is_connected  # noqa: E402
 
 SIZES = (1000, 10_000, 100_000, 480_000)
 SEED = 1
-# Timed runs per stage; the best is kept.
+# Rounds over the ladder; the best time is kept.
 REPEAT = 3
 # Shares of the vertices in diamonds and in digons; triangles take the rest.
 MIX = (0.25, 0.125)
@@ -129,13 +134,18 @@ def pipeline(text: str):
     ]
 
 
-def measure_stages(text: str) -> dict:
-    best: dict[str, float] = {}
-    for _ in range(REPEAT):
-        for name, stage in pipeline(text):
-            t0 = time.perf_counter()
-            stage()
-            best[name] = min(best.get(name, float("inf")), time.perf_counter() - t0)
+def time_stages(text: str) -> dict[str, float]:
+    """Each stage's wall time in one run of the pipeline."""
+    times = {}
+    for name, stage in pipeline(text):
+        t0 = time.perf_counter()
+        stage()
+        times[name] = time.perf_counter() - t0
+    return times
+
+
+def peak_stages(text: str) -> dict[str, float]:
+    """Each stage's peak traced heap in MB, in one run of the pipeline."""
     peaks = {}
     tracemalloc.start()
     try:
@@ -145,10 +155,11 @@ def measure_stages(text: str) -> dict:
             peaks[name] = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-    return {name: {"s": round(best[name], 5), "peak_mb": round(peaks[name], 2)} for name in best}
+    return peaks
 
 
-def measure_cli(command: str, path: str, out: str) -> dict:
+def run_cli(command: str, path: str, out: str) -> tuple[float, float | None]:
+    """The wall time of one `cubisect command path` child and its VmHWM in MB."""
     env = dict(os.environ, PYTHONPATH=SRC)
     t0 = time.perf_counter()
     proc = subprocess.run(
@@ -162,7 +173,12 @@ def measure_cli(command: str, path: str, out: str) -> dict:
     child = json.loads(proc.stderr.strip().splitlines()[-1])
     if child["code"] != 0:
         raise RuntimeError(f"cubisect {command} {path} exited {child['code']}: {proc.stderr}")
-    return {"s": round(wall, 4), "vmhwm_mb": child["vmhwm_mb"] and round(child["vmhwm_mb"], 1)}
+    return wall, child["vmhwm_mb"]
+
+
+def read(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def cpu_model() -> str:
@@ -174,30 +190,43 @@ def cpu_model() -> str:
 
 
 def main() -> int:
-    rows = []
+    commands = ("check", "partition", "bisect")
     with tempfile.TemporaryDirectory() as tmp:
+        rungs = []
         for size in SIZES:
             for parity in (0, 1):
                 r = recipe(size, parity)
-                g = generate(r)
-                path = os.path.join(tmp, f"g{g.n}.txt")
+                path = os.path.join(tmp, f"g{r.n}.txt")
                 with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(format_graph(g))
-                with open(path, encoding="utf-8") as fh:
-                    text = fh.read()
-                del g
-                row = {
-                    "n": r.n,
-                    "recipe": [r.k, r.t, r.p, r.seed],
-                    "parity": "odd" if r.k % 2 else "even",
-                    "stages": measure_stages(text),
-                    "cli": {cmd: measure_cli(cmd, path, os.path.join(tmp, "out")) for cmd in ("check", "partition", "bisect")},
-                }
-                del text
-                rows.append(row)
-                stages = " ".join(f"{k}={v['s']:.3f}s/{v['peak_mb']:.1f}MB" for k, v in row["stages"].items())
-                cli = " ".join(f"{k}={v['s']:.2f}s/{v['vmhwm_mb']}MB" for k, v in row["cli"].items())
-                print(f"n={r.n} {row['parity']}: {stages} | cli {cli}", flush=True)
+                    fh.write(format_graph(generate(r)))
+                rungs.append((r, path))
+        times = {path: {} for _, path in rungs}
+        runs = {path: {cmd: [] for cmd in commands} for _, path in rungs}
+        for i in range(REPEAT):
+            for r, path in rungs if i % 2 == 0 else rungs[::-1]:
+                for name, s in time_stages(read(path)).items():
+                    times[path][name] = min(times[path].get(name, float("inf")), s)
+                for cmd in commands:
+                    runs[path][cmd].append(run_cli(cmd, path, os.path.join(tmp, "out")))
+            print(f"round {i + 1} of {REPEAT} done", flush=True)
+        rows = []
+        for r, path in rungs:
+            peaks = peak_stages(read(path))
+            cli = {}
+            for cmd, results in runs[path].items():
+                walls, hwms = zip(*results)
+                cli[cmd] = {"s": round(min(walls), 4), "vmhwm_mb": None if None in hwms else round(max(hwms), 1)}
+            row = {
+                "n": r.n,
+                "recipe": [r.k, r.t, r.p, r.seed],
+                "parity": "odd" if r.k % 2 else "even",
+                "stages": {name: {"s": round(s, 5), "peak_mb": round(peaks[name], 2)} for name, s in times[path].items()},
+                "cli": cli,
+            }
+            rows.append(row)
+            stages = " ".join(f"{k}={v['s']:.3f}s/{v['peak_mb']:.1f}MB" for k, v in row["stages"].items())
+            cli_text = " ".join(f"{k}={v['s']:.2f}s/{v['vmhwm_mb']}MB" for k, v in row["cli"].items())
+            print(f"n={r.n} {row['parity']}: {stages} | cli {cli_text}", flush=True)
 
     environment = {"python": platform.python_version(), "cpus": os.cpu_count(), "cpu": cpu_model()}
     with open(os.path.join(ROOT, "BENCH_stages.json"), "w", encoding="utf-8") as fh:

@@ -2,42 +2,40 @@
 """Sweep a grid of block recipes, solving each generated instance three
 ways (constructor, closed form, exhaustive search) and printing a table.
 
-Usage: python scripts/corpus_sweep.py [--max-n 16] [--seeds 8] [--limit 16]
+Usage: python scripts/corpus_sweep.py
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 from itertools import product
 
 from cubisect import BlockRecipe, formula_minimum, generate, min_bisection, oracle_min
 
+# Largest instance size, instances per recipe, and the oracle's vertex budget.
+MAX_N = 16
+SEEDS = 8
+LIMIT = 16
+
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--max-n", type=int, default=16, help="largest instance size")
-    ap.add_argument("--seeds", type=int, default=8, help="instances per recipe")
-    ap.add_argument("--limit", type=int, default=16, help="oracle vertex budget")
-    args = ap.parse_args()
-
     recipes = [
         (k, t, p)
         for k, t, p in product(range(4), (0, 2, 4), range(4))
-        if 0 < 4 * k + 3 * t + 2 * p <= args.max_n and (k, t, p) != (1, 0, 0)
+        if 0 < 4 * k + 3 * t + 2 * p <= MAX_N and (k, t, p) != (1, 0, 0)
     ]
 
     print(f"{'k':>2} {'t':>2} {'p':>2} {'n':>3} {'eps':>4} {'oracle':>7} {'optima':>7} {'desired':>8}")
     start = time.perf_counter()
     rows = mismatches = 0
     for k, t, p in recipes:
-        for seed in range(args.seeds):
+        for seed in range(SEEDS):
             g = generate(BlockRecipe(k, t, p, seed=seed))
             _, cert = min_bisection(g)
             want = formula_minimum(g.n, k, p)
-            if g.n <= args.limit:
-                res = oracle_min(g, limit=args.limit)
+            if g.n <= LIMIT:
+                res = oracle_min(g, limit=LIMIT)
                 agree = res.min_epsilon == cert.epsilon == want
                 if seed == 0:
                     print(

@@ -32,13 +32,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
+    """The UTF-8 text of a file or of stdin ("-"), without a leading
+    byte-order mark."""
     try:
         if path == "-":
-            return sys.stdin.buffer.read().decode("utf-8")
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            text = sys.stdin.buffer.read().decode("utf-8")
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
     except UnicodeDecodeError as exc:
         raise GraphFormatError(f"{'stdin' if path == '-' else path} is not UTF-8 text: {exc}") from exc
+    # Not the utf-8-sig codec: reading a file, it takes a lone b"\xef\xbb"
+    # for an empty text instead of refusing it.
+    return text.removeprefix("\ufeff")
 
 
 def _load_graph(path: str) -> Multigraph:

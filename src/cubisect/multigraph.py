@@ -276,11 +276,12 @@ def _read_edges(text: str) -> tuple[int, list[int], bool]:
     lines, holding one shared int object per vertex label, and whether the
     lines are in format_graph's order: u < v, by increasing (u, v).
 
-    The text is read in slices of about _SLICE characters, each cut just
-    after a newline, so only one slice's lines and tokens are alive at a
-    time. Any fault (a header that is not two integers or n < 1, an edge
-    line that is not two distinct labels in 0..n-1, a line count other than
-    m) sends the whole text to _read_all_edges, which names the fault.
+    The text is read once, in slices of about _SLICE characters, each cut
+    just after a newline, so only one slice's lines and tokens are alive at
+    a time. The first fault in reading order raises where it is found: a
+    bad header at once; in a slice, the first line that is not two
+    integers, then the first edge out of range or looped (or n < 1); after
+    the last slice, a missing header, then a line count other than m.
     """
     n = m = None
     labels: list[int] = []
@@ -297,30 +298,27 @@ def _read_edges(text: str) -> tuple[int, list[int], bool]:
         if "#" in piece:
             lines = [ln for ln in lines if not ln.startswith("#")]
         if n is None and lines:
-            try:
-                n, m = map(int, lines[0].split())
-            except ValueError:
-                return _read_all_edges(text)
-            del lines[0]
+            n, m = _header(lines.pop(0))
         if not lines:
             continue
         count += len(lines)
         # One split for every edge line, with a "#" token between lines. No
         # comment line is left and no integer reads "#", so each line holds
         # exactly two integers iff every third token is a "#" and the others
-        # are integers. With no "-" there is no negative one.
+        # are integers.
         joined = " # ".join(lines)
         tokens = joined.split()
-        if "-" in joined or len(tokens) != 3 * len(lines) - 1 or tokens[2::3] != ["#"] * (len(lines) - 1):
-            return _read_all_edges(text)
+        if len(tokens) != 3 * len(lines) - 1 or tokens[2::3] != ["#"] * (len(lines) - 1):
+            _raise_bad_line(lines)
         del tokens[2::3]
         try:
             ints = list(map(int, tokens))
         except ValueError:
-            return _read_all_edges(text)
+            _raise_bad_line(lines)
         us, vs = ints[0::2], ints[1::2]
-        if any(map(eq, us, vs)):
-            return _read_all_edges(text)
+        # Only a "-" can make a label negative, which indexing would take.
+        if "-" in joined or any(map(eq, us, vs)):
+            _check_ends(n, ints)
         # Checked here, on the slice's own ints, the order is cheap; on the
         # filled layout it would take a pass over scattered label objects.
         if in_order:
@@ -332,57 +330,43 @@ def _read_edges(text: str) -> tuple[int, list[int], bool]:
             last = (us[-1], vs[-1])
         # The parsed ints are dropped with the slice; the graph keeps 2m
         # references to n label objects, not 2m objects of its own. The
-        # labels wait for a good slice, so that a huge n in a bad file
-        # allocates nothing before the fault is named.
+        # labels wait for a slice of good lines, so that a huge n in a bad
+        # file allocates nothing before the fault is named.
         labels = labels or list(range(n))
         try:
             # At least two items, so itemgetter gives a tuple.
             ends += itemgetter(*ints)(labels)
-        except IndexError:  # a label of n or more
-            return _read_all_edges(text)
-    if n is None or n < 1 or count != m:
-        return _read_all_edges(text)
+        except IndexError:  # a label of n or more, or n < 1
+            _check_ends(n, ints)
+    if n is None:
+        raise GraphFormatError("empty graph file")
+    if count != m:
+        raise GraphFormatError(f"expected {m} edge lines, found {count}")
+    _check_ends(n, [])  # n < 1 with no edge line
     return n, ends, in_order
 
 
-def _read_all_edges(text: str) -> tuple[int, list[int], bool]:
-    """_read_edges on the whole text at once, with a fresh int per end:
-    raises GraphFormatError on the first fault in the text, header first,
-    or ValueError (from _check_ends) on the first edge out of range or
-    looped."""
-    lines = list(filter(None, map(str.strip, text.splitlines())))
-    if "#" in text:
-        lines = [ln for ln in lines if not ln.startswith("#")]
-    if not lines:
-        raise GraphFormatError("empty graph file")
-    header = lines[0].split()
+def _header(line: str) -> tuple[int, int]:
+    """The n and m of a header line."""
+    header = line.split()
     if len(header) != 2:
-        raise GraphFormatError(f"expected header 'n m', got {lines[0]!r}")
+        raise GraphFormatError(f"expected header 'n m', got {line!r}")
     try:
-        n, m = int(header[0]), int(header[1])
+        return int(header[0]), int(header[1])
     except ValueError as exc:
-        raise GraphFormatError(f"non-integer header {lines[0]!r}") from exc
-    body = lines[1:]
-    if len(body) != m:
-        raise GraphFormatError(f"expected {m} edge lines, found {len(body)}")
-    ends = _edge_line_ends(body)
-    _check_ends(n, ends)
-    return n, ends, False
+        raise GraphFormatError(f"non-integer header {line!r}") from exc
 
 
-def _edge_line_ends(body: list[str]) -> list[int]:
-    """The slow reading of the edge lines, one at a time, that names the
-    first line that is not two integers."""
-    ends = []
-    for ln in body:
+def _raise_bad_line(lines: list[str]) -> None:
+    """Raise GraphFormatError on the first of lines that is not two integers."""
+    for ln in lines:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphFormatError(f"expected edge line 'u v', got {ln!r}")
         try:
-            ends += (int(parts[0]), int(parts[1]))
+            int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise GraphFormatError(f"non-integer edge line {ln!r}") from exc
-    return ends
 
 
 def format_graph(g: Multigraph) -> str:

@@ -253,6 +253,29 @@ def test_non_utf8_stdin_exits_1_like_a_file(tmp_path, capsys, monkeypatch):
     assert "stdin is not UTF-8 text" in err
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_a_byte_order_mark_is_read_past(tmp_path, capsys, monkeypatch, fixtures, source):
+    bom = b"\xef\xbb\xbf"
+    gpath = write_graph(tmp_path, fixtures["prism"])
+    bpath = tmp_path / "b.json"
+    bpath.write_text('{"black": [0, 1, 5], "white": [2, 3, 4]}')
+    want = [run_cli(capsys, ["check", gpath]), run_cli(capsys, ["verify", gpath, str(bpath)])]
+    assert want[0][0] == want[1][0] == 0
+
+    def marked(path):
+        """path's bytes after a byte-order mark, on stdin or in a new file."""
+        data = bom + path.read_bytes()
+        if source == "stdin":
+            monkeypatch.setattr("sys.stdin", stdin_bytes(data))
+            return "-"
+        out = path.with_name("bom-" + path.name)
+        out.write_bytes(data)
+        return str(out)
+
+    assert run_cli(capsys, ["check", marked(tmp_path / "g.txt")]) == want[0]
+    assert run_cli(capsys, ["verify", gpath, marked(bpath)]) == want[1]
+
+
 def test_verify_reads_bisection_from_stdin(tmp_path, capsys, monkeypatch, fixtures):
     gpath = write_graph(tmp_path, fixtures["prism"])
     bpath = tmp_path / "b.json"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import random
 import re
 import tracemalloc
@@ -206,6 +207,56 @@ def test_parse_rejects_a_fault_in_a_later_slice(last, message):
         parse_graph(bad)
 
 
+def _big_with(header="8000 12000", first="0 1", last="7998 7999", extra=""):
+    """BIG with its header, first and last edge lines replaced, and extra
+    lines after them."""
+    assert BIG.startswith("8000 12000\n0 1\n") and BIG.endswith("\n7998 7999\n")
+    body = BIG[len("8000 12000\n0 1\n") : -len("7998 7999\n")]
+    return f"{header}\n{first}\n{body}{last}\n{extra}"
+
+
+# Texts with a fault in the first slice and another fault after it: the
+# first in reading order is named, and a line count only when every line
+# read was good.
+MULTI_FAULTS = {
+    "label-n-then-token": (_big_with(first="9000 1", last="x y"), "edge (9000, 1) out of range for n=8000"),
+    "label-n-then-count": (_big_with(first="9000 1", extra="0 1\n"), "edge (9000, 1) out of range for n=8000"),
+    "token-then-count": (_big_with(first="a b", extra="0 1\n"), "non-integer edge line 'a b'"),
+    "n-0-then-token": (_big_with(header="0 12000", last="x y"), "vertex count must be positive, got 0"),
+    "token-then-token": (_big_with(first="a b", last="x y"), "non-integer edge line 'a b'"),
+    "loop-then-label-n": (_big_with(first="0 0", last="7998 8000"), "loop at vertex 0 not allowed"),
+}
+
+
+@pytest.mark.parametrize("name", list(MULTI_FAULTS))
+def test_parse_names_the_first_fault_in_reading_order(name):
+    bad, message = MULTI_FAULTS[name]
+    assert len(bad) > 2**16  # two slices
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
+        parse_graph(bad)
+
+
+def test_parse_reads_minus_zero_in_a_later_slice():
+    # The first edge, moved to the end of the text and written "1 -0".
+    text = BIG.replace("\n0 1\n", "\n", 1) + "1 -0\n"
+    assert parse_graph(text) == parse_graph(BIG)
+
+
+def test_parse_stops_at_a_fault_in_the_first_slice():
+    # An edge out of range in the first slice is named before the rest of
+    # the text is read, so the parse peaks below that of the good text.
+    peaks = []
+    for text in (_big_with(first="0 8000"), BIG):
+        tracemalloc.start()
+        try:
+            with contextlib.suppress(GraphFormatError):
+                parse_graph(text)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < peaks[1]
+
+
 def test_parse_reads_crlf_and_comments_across_slices():
     lines = BIG.splitlines()
     # A comment and a blank line every 500 lines, indents and CRLF ends.
@@ -227,7 +278,7 @@ def test_parse_reads_crlf_and_comments_across_slices():
 
 
 def test_parse_reads_signed_labels():
-    # A "-" sends the text to the whole-text reader, which accepts "-0".
+    # A "-" sends a slice to _check_ends, which accepts "-0".
     assert parse_graph("2 3\n-0 +1\n0 1\n1 -0\n") == triple_edge()
     with pytest.raises(GraphFormatError, match=r"^edge \(0, -2\) out of range for n=2$"):
         parse_graph("2 1\n0 -2\n")

@@ -47,6 +47,9 @@ def test_fixture_report(capsys):
 
 
 def test_corpus_sweep_small_grid(capsys, monkeypatch):
-    monkeypatch.setattr("sys.argv", ["corpus_sweep.py", "--max-n", "10", "--seeds", "1", "--limit", "10"])
-    assert load("corpus_sweep").main() == 0
+    sweep = load("corpus_sweep")
+    monkeypatch.setattr(sweep, "MAX_N", 10)
+    monkeypatch.setattr(sweep, "SEEDS", 1)
+    monkeypatch.setattr(sweep, "LIMIT", 10)
+    assert sweep.main() == 0
     assert " 0 mismatches" in capsys.readouterr().out
