@@ -4,8 +4,21 @@ write the numbers to BENCH_stages.json.
 
 Usage: python scripts/bench_stages.py
 
-Each rung is one generated instance per parity of the diamond count k,
-from a fixed recipe seed, so runs compare from commit to commit. The
+Each rung holds one instance per shape and per parity of the diamond
+count k, built deterministically, so runs compare from commit to commit:
+
+* mix -- a generated instance from a fixed recipe and seed, a quarter of
+  the vertices in diamonds and an eighth in digons, in format_graph's
+  order;
+* shuffled -- the same graph relabelled by a seeded permutation, its edge
+  lines shuffled, so that the parser's sort path runs;
+* diamond-ring -- a ring of diamonds;
+* digon-ring -- a ring of digons (with one diamond for odd k), which
+  generate does not build at scale;
+* triangle-tree -- a balanced tree of triangles with trumpet leaves, every
+  edge between them a bridge (one of them through a diamond for odd k).
+
+The rings have no triangle, so the walk colors them by propagation. The
 stages are the ones `min_bisection` and the CLI run: parse, validate (the
 class gate's connectivity test; find_blocks checks the rest),
 find_blocks (the cover and the matching between its blocks), cover (the
@@ -33,6 +46,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import random
 import subprocess
 import sys
 import tempfile
@@ -48,6 +62,7 @@ if __name__ == "__main__":
 
 from cubisect import (  # noqa: E402
     BlockRecipe,
+    Multigraph,
     bisection_to_json,
     desired_bisection_csp,
     find_blocks,
@@ -67,6 +82,7 @@ SEED = 1
 REPEAT = 3
 # Shares of the vertices in diamonds and in digons; triangles take the rest.
 MIX = (0.25, 0.125)
+SHAPES = ("mix", "shuffled", "diamond-ring", "digon-ring", "triangle-tree")
 
 # Runs the CLI in a child process and reports the child's own peak RSS.
 CHILD = """
@@ -90,6 +106,69 @@ def recipe(n: int, parity: int) -> BlockRecipe:
     p = round(MIX[1] * n / 2)
     t = (n - 4 * k - 2 * p) // 3
     return BlockRecipe(k, t - t % 2, p, SEED)
+
+
+def ring(diamonds: int, digons: int) -> Multigraph:
+    """A ring of diamonds, then digons, each outer vertex joined to the next
+    block's."""
+    edges, ends, v = [], [], 0
+    for _ in range(diamonds):
+        a, b, c, d = range(v, v + 4)
+        edges += [(a, b), (a, c), (b, c), (b, d), (c, d)]
+        ends.append((a, d))
+        v += 4
+    for _ in range(digons):
+        edges += [(v, v + 1), (v, v + 1)]
+        ends.append((v, v + 1))
+        v += 2
+    edges += [(out, nxt) for (_, out), (nxt, _) in zip(ends, ends[1:] + ends[:1])]
+    return Multigraph(v, edges)
+
+
+def triangle_tree(n: int, parity: int) -> Multigraph:
+    """A heap-shaped tree of an even number of nodes on vertices 3j..3j+2:
+    node 0 a trumpet joined to node 1, node j >= 1 a triangle whose two
+    free corners join nodes 2j and 2j+1, or a trumpet when it has no
+    children. For odd parity a diamond sits on the edge from node 0."""
+    nodes = (n - 4 * parity) // 3
+    nodes -= nodes % 2
+    edges = []
+    for j in range(nodes):
+        w, x, y = 3 * j, 3 * j + 1, 3 * j + 2
+        edges += [(w, x), (w, y), (x, y)]
+        if j == 0 or 2 * j >= nodes:
+            edges.append((x, y))
+        if j >= 2:
+            edges.append((3 * (j // 2) + 1 + j % 2, w))
+    if parity:
+        a, b, c, d = range(3 * nodes, 3 * nodes + 4)
+        edges += [(0, a), (a, b), (a, c), (b, c), (b, d), (c, d), (d, 3)]
+    else:
+        edges.append((0, 3))
+    return Multigraph(3 * nodes + 4 * parity, edges)
+
+
+def shape_text(shape: str, n: int, parity: int) -> str:
+    """The graph text of one shape with about n vertices and k of the given
+    parity."""
+    if shape == "mix":
+        return format_graph(generate(recipe(n, parity)))
+    if shape == "shuffled":
+        g = generate(recipe(n, parity))
+        rng = random.Random(SEED)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        edges = [(perm[u], perm[v]) for u, v in g.edge_list()]
+        rng.shuffle(edges)
+        return f"{g.n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    if shape == "diamond-ring":
+        count = n // 4
+        return format_graph(ring(count + (count - parity) % 2, 0))
+    if shape == "digon-ring":
+        return format_graph(ring(parity, (n - 4 * parity) // 2))
+    if shape == "triangle-tree":
+        return format_graph(triangle_tree(n, parity))
+    raise ValueError(f"unknown shape {shape!r}")
 
 
 def pipeline(text: str):
@@ -194,39 +273,42 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         rungs = []
         for size in SIZES:
-            for parity in (0, 1):
-                r = recipe(size, parity)
-                path = os.path.join(tmp, f"g{r.n}.txt")
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(format_graph(generate(r)))
-                rungs.append((r, path))
-        times = {path: {} for _, path in rungs}
-        runs = {path: {cmd: [] for cmd in commands} for _, path in rungs}
+            for shape in SHAPES:
+                for parity in (0, 1):
+                    path = os.path.join(tmp, f"{shape}-{size}-{parity}.txt")
+                    text = shape_text(shape, size, parity)
+                    with open(path, "w", encoding="utf-8") as fh:
+                        fh.write(text)
+                    rungs.append((shape, size, int(text.split(None, 1)[0]), parity, path))
+        times = {path: {} for *_, path in rungs}
+        runs = {path: {cmd: [] for cmd in commands} for *_, path in rungs}
         for i in range(REPEAT):
-            for r, path in rungs if i % 2 == 0 else rungs[::-1]:
+            for *_, path in rungs if i % 2 == 0 else rungs[::-1]:
                 for name, s in time_stages(read(path)).items():
                     times[path][name] = min(times[path].get(name, float("inf")), s)
                 for cmd in commands:
                     runs[path][cmd].append(run_cli(cmd, path, os.path.join(tmp, "out")))
             print(f"round {i + 1} of {REPEAT} done", flush=True)
         rows = []
-        for r, path in rungs:
+        for shape, size, n, parity, path in rungs:
             peaks = peak_stages(read(path))
             cli = {}
             for cmd, results in runs[path].items():
                 walls, hwms = zip(*results)
                 cli[cmd] = {"s": round(min(walls), 4), "vmhwm_mb": None if None in hwms else round(max(hwms), 1)}
-            row = {
-                "n": r.n,
-                "recipe": [r.k, r.t, r.p, r.seed],
-                "parity": "odd" if r.k % 2 else "even",
+            row = {"shape": shape, "n": n}
+            if shape in ("mix", "shuffled"):
+                r = recipe(size, parity)
+                row["recipe"] = [r.k, r.t, r.p, r.seed]
+            row |= {
+                "parity": "odd" if parity else "even",
                 "stages": {name: {"s": round(s, 5), "peak_mb": round(peaks[name], 2)} for name, s in times[path].items()},
                 "cli": cli,
             }
             rows.append(row)
             stages = " ".join(f"{k}={v['s']:.3f}s/{v['peak_mb']:.1f}MB" for k, v in row["stages"].items())
             cli_text = " ".join(f"{k}={v['s']:.2f}s/{v['vmhwm_mb']}MB" for k, v in row["cli"].items())
-            print(f"n={r.n} {row['parity']}: {stages} | cli {cli_text}", flush=True)
+            print(f"{shape} n={n} {row['parity']}: {stages} | cli {cli_text}", flush=True)
 
     environment = {"python": platform.python_version(), "cpus": os.cpu_count(), "cpu": cpu_model()}
     with open(os.path.join(ROOT, "BENCH_stages.json"), "w", encoding="utf-8") as fh:

@@ -35,10 +35,10 @@ class Bisection:
     colors: tuple[int, ...]
 
     def __post_init__(self):
-        if any(c not in (BLACK, WHITE) for c in self.colors):
-            raise ValueError("colors must be BLACK (0) or WHITE (1)")
         nb = self.colors.count(BLACK)
-        nw = len(self.colors) - nb
+        nw = self.colors.count(WHITE)
+        if nb + nw != len(self.colors):
+            raise ValueError("colors must be BLACK (0) or WHITE (1)")
         if nb != nw:
             raise ValueError(f"unbalanced coloring: {nb} black vs {nw} white")
 
@@ -136,20 +136,19 @@ def is_desired(
         raise ValueError(f"coloring covers {b.n} vertices, graph has {g.n}")
     colors = b.colors
     violations: list[Violation] = []
-    for block in part.blocks:
-        vs = block.vertices
-        if block.kind == DIAMOND:
+    for kind, vs in zip(part.kinds, part.members):
+        if kind == DIAMOND:
             a, x, y, d = vs
             if not colors[a] == colors[d] != colors[x] == colors[y]:
                 violations.append((DIAMOND_ONE_MONO, vs))
-        elif block.kind == DIGON:
+        elif kind == DIGON:
             if colors[vs[0]] == colors[vs[1]]:
                 violations.append((MULTI_EDGE_NOT_MONO, vs))
         else:
             w, x, y = vs
             # A trumpet is bad when its doubled pair x, y agrees, a triangle
             # when all three corners do.
-            if colors[x] == colors[y] and (block.kind == TRUMPET or colors[w] == colors[x]):
+            if colors[x] == colors[y] and (kind == TRUMPET or colors[w] == colors[x]):
                 violations.append((TRIANGLE_ONE_MONO, vs))
 
     for u, v in enumerate(part.ext):

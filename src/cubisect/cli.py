@@ -3,10 +3,10 @@
 Subcommands: check, partition, bisect, oracle, gen, verify. Graphs are
 read from a file path or stdin ("-") in the edge-list text format. Exit
 codes: 0 success, 1 parse or I/O trouble (including a failed --output
-write), 2 precondition failure (graph out of class, instance too large,
-unrealizable recipe), 3 internal error (an invariant breach or any other
-unexpected exception, reported as "internal error: <type>: <message>"
-with the input it ran on).
+write), 2 precondition failure (graph out of class, instance too large
+for the oracle or for memory, unrealizable recipe), 3 internal error (an
+invariant breach or any other unexpected exception, reported as
+"internal error: <type>: <message>" with the input it ran on).
 """
 
 from __future__ import annotations
@@ -266,6 +266,9 @@ def run(args: argparse.Namespace) -> int:
         return 2
     except (TooLarge, Unsatisfiable, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: instance too large for memory", file=sys.stderr)
         return 2
     except Exception as exc:
         # Any other escape is a bug, internal invariant breaches included.

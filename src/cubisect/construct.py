@@ -48,8 +48,10 @@ def desired_bisection_csp(g: Multigraph, part: StructurePartition) -> Bisection:
     one, so no triangle is monochromatic; the departure color therefore
     flips exactly after each equal chain, so equal chains alternate
     between all-black and all-white ends. Their count has the parity of
-    k, so for even k the colors balance. Without nodes the graph is one
-    ring of digons and diamonds, colored by propagation.
+    k, so for even k the colors balance. Each chain's far port is found
+    first, without coloring; the circuit then runs over the nodes alone,
+    from the cover's flat lists, and paints each chain once. Without nodes
+    the graph is one ring of digons and diamonds, painted the same way.
 
     For odd k the diamond with the smallest vertex tuple is flipped:
     colored with a, c one color and b, d the other, its ends differ like
@@ -59,114 +61,107 @@ def desired_bisection_csp(g: Multigraph, part: StructurePartition) -> Bisection:
     A coloring that fails to close the ring or to come out complete and
     balanced raises CertificateError, as a bug.
     """
-    blocks, block_of, ext = part.blocks, part.vertex_to_block, part.ext
-    flip_index = -1
-    if part.k % 2:
-        flip_index = block_of[min(b.vertices for b in part.diamond_blocks)[0]]
+    kinds, members, block_of, ext = part.kinds, part.members, part.vertex_to_block, part.ext
+    first = kinds.index(DIAMOND) if part.k % 2 else 0  # the diamonds are one slice
+    flip = block_of[min(members[first : first + part.k])[0]] if part.k % 2 else -1
 
     n = g.n
+    PORT = -2  # in colors: -1 until painted, PORT at a port until its chain is
     colors = [-1] * n
-    is_port = [False] * n
-    nodes = [i for i, blk in enumerate(blocks) if blk.kind in (TRIANGLE, TRUMPET)]
-    for i in nodes:
-        blk = blocks[i]
-        if blk.kind == TRIANGLE:
-            for v in blk.vertices:
-                is_port[v] = True
-        else:
-            w, x, y = blk.vertices
-            is_port[w] = True
-            colors[x] = BLACK
-            colors[y] = WHITE
-
-    def enter(v: int, c: int) -> tuple[int, int]:
-        """Color the digon or diamond entered at port v with color c;
-        return its other port and that port's color."""
-        i = block_of[v]
-        blk = blocks[i]
-        if blk.kind == DIGON:
-            u, w = blk.vertices
-            out = w if v == u else u
-            colors[v] = c
-            colors[out] = 1 - c
-            return out, 1 - c
-        a, b, cc, d = blk.vertices
-        if i == flip_index:
-            near, far, out = (cc, b, d) if v == a else (b, cc, a)
-            colors[v] = colors[near] = c
-            colors[far] = colors[out] = 1 - c
-            return out, 1 - c
-        out = d if v == a else a
-        colors[v] = colors[out] = c
-        colors[b] = colors[cc] = 1 - c
-        return out, c
 
     def paint(p: int, c: int) -> int:
-        """Color port p with c and the chain leaving it; return the port
-        where the chain ends, colored as the chain forces."""
+        """Color p with c and the digons and diamonds after it along ext up
+        to the first vertex already colored (the chain's far port, or in a
+        ring the one after p); color that as forced and return its color."""
         colors[p] = c
         v, c = ext[p], 1 - c
-        while not is_port[v]:
-            out, c = enter(v, c)
+        while colors[v] == -1:
+            i = block_of[v]
+            vs = members[i]
+            out = vs[-1] if v == vs[0] else vs[0]
+            colors[v] = c
+            if i == flip:  # the shared side split: v's neighbor on it takes c
+                colors[vs[1]], colors[vs[2]] = (1 - c, c) if v == vs[0] else (c, 1 - c)
+                c = 1 - c
+            elif kinds[i] == DIGON:
+                c = 1 - c
+            else:
+                colors[vs[1]] = colors[vs[2]] = 1 - c
+            colors[out] = c
             v, c = ext[out], 1 - c
         colors[v] = c
-        return v
+        return c
 
-    if not nodes:
-        if n == 2:
-            # A connected cubic graph on two vertices is the triple edge.
-            colors[0], colors[1] = BLACK, WHITE
-        else:
-            # Color the first block, then walk the ring back to it.
-            start = blocks[0].vertices[0]
-            out, c = enter(start, BLACK)
-            is_port[start] = True
-            if colors[paint(out, c)] != BLACK:
-                raise CertificateError(
-                    "ring of digons and diamonds does not close consistently:\n"
-                    + format_graph(g)
-                )
+    if n == 2:
+        # A connected cubic graph on two vertices is the triple edge.
+        colors[0], colors[1] = BLACK, WHITE
+    elif not part.t:
+        # Around the ring from its first vertex and back through its block,
+        # which colors that vertex black again if the ring closes.
+        if paint(members[0][0], BLACK) != WHITE:
+            raise CertificateError("ring of digons and diamonds does not close consistently:\n" + format_graph(g))
     else:
-        # Chains as edges of the node graph, plus one dummy edge per node.
-        dummy = len(blocks)
-        ends: list[tuple[int, int]] = []  # chain id -> (port, port)
-        for i in nodes:
-            for p in blocks[i].vertices:
-                if is_port[p] and colors[p] < 0:  # a port is painted with its chain
-                    ends.append((p, paint(p, BLACK)))
-        edges = [(block_of[p], block_of[q]) for p, q in ends]
-        edges.extend((dummy, i) for i in nodes)
-        adj: list[list[int]] = [[] for _ in range(dummy + 1)]
-        for e, (x, y) in enumerate(edges):
-            adj[x].append(e)
-            adj[y].append(e)
+        # ports[i]: node i's ports as its chains are found, then ~i for its
+        # edge to the dummy; None off the nodes. far[p]: the port at the
+        # other end of p's chain, and far[~i], past the vertices, 0 for node
+        # i's dummy edge; -1 once the walk takes the edge.
+        dummy = len(members)
+        ports: list = [None] * dummy
+        far = [-1] * (n + dummy)
+        for i, kind in enumerate(kinds):
+            if kind == TRIANGLE or kind == TRUMPET:
+                w, x, y = members[i]
+                colors[w], colors[x], colors[y] = (PORT, PORT, PORT) if kind == TRIANGLE else (PORT, BLACK, WHITE)
+                ports[i] = []
+                far[~i] = 0
+        for i, found in enumerate(ports):
+            if found is None:
+                continue
+            for p in members[i]:
+                if colors[p] == PORT and far[p] < 0:
+                    v = ext[p]
+                    while colors[v] == -1:
+                        vs = members[block_of[v]]
+                        v = ext[vs[-1] if v == vs[0] else vs[0]]
+                    far[p], far[v] = v, p
+                    found.append(p)
+                    ports[block_of[v]].append(v)
+            ports[i] = iter(found + [~i])  # no later node ends a chain here
 
-        # Iterative Hierholzer from the dummy, with one scan per adjacency
-        # list. Entries leave the stack in reverse circuit order, so the
-        # circuit read backwards leaves node x along edge e for each popped
-        # (x, e) but the last: paint that chain as its entry pops. A dummy
-        # edge, or the end, carries the departure color over.
-        used = [False] * len(edges)
-        scans = [iter(out_edges) for out_edges in adj]
-        stack: list[tuple[int, int]] = [(dummy, -1)]
+        # Iterative Hierholzer from the dummy, x the node at the top. An
+        # entry is the port a chain arrived at, or ~x for an arrival at x by
+        # a dummy edge. Entries pop in reverse circuit order, so the circuit
+        # read backwards leaves each popped port along its chain: paint it
+        # then; a chain back to its own node, from the port that found it.
+        ports.append(~i for i in range(dummy))
+        stack: list[int] = []
         departure = BLACK
-        while stack:
-            x = stack[-1][0]
-            for e in scans[x]:
-                if not used[e]:
-                    used[e] = True
-                    a, b = edges[e]
-                    stack.append((b if a == x else a, e))
-                    break
+        x = dummy
+        while True:
+            for s in ports[x]:
+                q = far[s]
+                if q < 0:
+                    continue
+                if s >= 0:
+                    far[s] = far[q] = -1
+                    y = block_of[q]
+                    stack.append(q if y != x else s)
+                else:
+                    far[s] = -1
+                    y = ~s if x == dummy else dummy
+                    stack.append(~y)
+                x = y
+                break
             else:
-                x, e = stack.pop()
-                if 0 <= e < len(ends):
-                    p, q = ends[e]
-                    if block_of[p] != x:
-                        p = q
-                    departure = 1 - colors[paint(p, departure)]
+                if not stack:
+                    break
+                top = stack.pop()
+                if top >= 0:
+                    departure = 1 - paint(top, departure)
+                top = stack[-1] if stack else ~dummy
+                x = block_of[top] if top >= 0 else ~top
 
-    if -1 in colors or 2 * colors.count(BLACK) != n:
+    if min(colors) < 0 or 2 * colors.count(BLACK) != n:
         raise CertificateError(
             "constructed coloring is unbalanced or incomplete:\n" + format_graph(g)
         )

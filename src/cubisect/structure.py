@@ -22,6 +22,7 @@ when neither occurs, so the cover is also the class gate's claw test.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import PartitionError
 from .multigraph import Multigraph, is_cubic
@@ -60,6 +61,10 @@ _BLOCK_JSON = {
 class StructurePartition:
     """The vertex-disjoint block cover of a graph, with block counts.
 
+    The cover is flat, in find_blocks' order (so the diamonds are one
+    slice): block i has kind ``kinds[i]`` and vertices ``members[i]`` in
+    role order. ``blocks`` builds Block objects on first use, for tests.
+
     ``ext`` is the matching formed by the (simple) edges between blocks:
     ext[v] is v's neighbor in another block, or -1 when v has none (a
     diamond's shared side, a trumpet's doubled pair, the triple edge).
@@ -71,12 +76,17 @@ class StructurePartition:
     then k, t and p.
     """
 
-    blocks: tuple[Block, ...]
+    kinds: list[str]
+    members: list[tuple[int, ...]]
     k: int  # diamonds
     t: int  # triangles + trumpets
     p: int  # digons (a triple edge counts as one digon)
     vertex_to_block: list[int]
     ext: list[int]
+
+    @cached_property
+    def blocks(self) -> tuple[Block, ...]:
+        return tuple(map(Block, self.kinds, self.members))
 
     @property
     def diamond_blocks(self) -> list[Block]:
@@ -88,7 +98,7 @@ class StructurePartition:
         "vertices"}, ...], "k", "t", "p"}, written by joining strings, since
         an indented dump runs the pure-Python encoder. A cover has at least
         one block, as a graph has at least one vertex."""
-        blocks = ",\n    ".join([_BLOCK_JSON[b.kind] % b.vertices for b in self.blocks])
+        blocks = ",\n    ".join([_BLOCK_JSON[kind] % vs for kind, vs in zip(self.kinds, self.members)])
         return f'{{\n  "blocks": [\n    {blocks}\n  ],\n  "k": {self.k},\n  "t": {self.t},\n  "p": {self.p}\n}}\n'
 
 
@@ -110,7 +120,8 @@ def find_blocks(g: Multigraph) -> StructurePartition:
       v < p < q.
 
     Blocks come as triple digons, doubled pairs, diamonds, then triangles,
-    each group in the order of the vertex that lists it. A vertex on a
+    each group in the order of the vertex that lists it, as flat lists of
+    kinds and vertex tuples: no Block is built. A vertex on a
     parallel edge has at most two distinct neighbors, so the rule raises
     PartitionError exactly on a claw or a K4 component; otherwise it finds
     the cover, and a last pass checks that it covers every vertex once. A
@@ -120,25 +131,22 @@ def find_blocks(g: Multigraph) -> StructurePartition:
     if not is_cubic(g):
         raise PartitionError("graph is not cubic")
     nbr = g._nbr
-    triples: list[Block] = []
-    pairs: list[Block] = []
-    diamonds: list[Block] = []
-    triangles: list[Block] = []
+    triples, pairs, diamonds, triangles = [], [], [], []  # vertex tuples in role order
     ext = [-1] * n
-    for v in range(n):
-        x, y, z = nbr[3 * v : 3 * v + 3]
+    runs = iter(nbr)  # zipped thrice with itself: one sorted run per step
+    for v, x, y, z in zip(range(n), runs, runs, runs):
         if x == z:
             if v < x:
-                triples.append(Block(DIGON, (v, x)))
+                triples.append((v, x))
         elif x == y or y == z:
             u, r = (x, z) if x == y else (z, x)
             if r in nbr[3 * u : 3 * u + 3]:
                 if v < u:
-                    pairs.append(Block(TRUMPET, (r, v, u)))
+                    pairs.append((r, v, u))
             else:
                 ext[v] = r
                 if v < u:
-                    pairs.append(Block(DIGON, (v, u)))
+                    pairs.append((v, u))
         else:
             near_x = nbr[3 * x : 3 * x + 3]
             xy, xz, yz = y in near_x, z in near_x, z in nbr[3 * y : 3 * y + 3]
@@ -150,30 +158,25 @@ def find_blocks(g: Multigraph) -> StructurePartition:
             if count == 2:
                 h, a, d = (x, y, z) if xy and xz else (y, x, z) if yz and xy else (z, x, y)
                 if v < h:
-                    diamonds.append(Block(DIAMOND, (a, v, h, d)))
+                    diamonds.append((a, v, h, d))
             else:
                 p, q, ext[v] = (x, y, z) if xy else (x, z, y) if xz else (y, z, x)
                 # p and q see v, each other and one vertex each: five in
                 # all iff both runs are simple and those two differ.
                 if v < p and len({*nbr[3 * p : 3 * p + 3], *nbr[3 * q : 3 * q + 3]}) == 5:
-                    triangles.append(Block(TRIANGLE, (v, p, q)))
+                    triangles.append((v, p, q))
 
-    blocks = triples + pairs + diamonds + triangles
+    members = triples + pairs + diamonds + triangles
+    kinds = [DIGON] * len(triples) + [TRUMPET if len(vs) == 3 else DIGON for vs in pairs]
+    kinds += [DIAMOND] * len(diamonds) + [TRIANGLE] * len(triangles)
     vertex_to_block = [-1] * n
-    for i, block in enumerate(blocks):
-        for v in block.vertices:
+    for i, vs in enumerate(members):
+        for v in vs:
             if vertex_to_block[v] != -1:
-                raise PartitionError(
-                    f"vertex {v} claimed by two blocks ({block.kind} {block.vertices})"
-                )
+                raise PartitionError(f"vertex {v} claimed by two blocks ({kinds[i]} {vs})")
             vertex_to_block[v] = i
     if -1 in vertex_to_block:
         raise PartitionError(f"vertex {vertex_to_block.index(-1)} lies in no block")
-    return StructurePartition(
-        blocks=tuple(blocks),
-        k=len(diamonds),
-        t=len(triangles) + sum(1 for b in pairs if b.kind == TRUMPET),
-        p=len(triples) + sum(1 for b in pairs if b.kind == DIGON),
-        vertex_to_block=vertex_to_block,
-        ext=ext,
-    )
+    k, t = len(diamonds), len(triangles) + kinds.count(TRUMPET)
+    p = len(members) - k - t
+    return StructurePartition(kinds, members, k, t, p, vertex_to_block=vertex_to_block, ext=ext)

@@ -188,7 +188,8 @@ def reference_find_blocks(g: Multigraph) -> StructurePartition:
             if vertex_to_block[v] != vertex_to_block[u]:
                 ext[u] = v
     return StructurePartition(
-        blocks=tuple(blocks),
+        kinds=[b.kind for b in blocks],
+        members=[b.vertices for b in blocks],
         k=k,
         t=t,
         p=p,

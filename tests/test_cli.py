@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 import cubisect.cli as cli
 import cubisect.construct as construct
+import cubisect.structure as structure
 from cubisect import (
     BlockRecipe,
     CertificateError,
@@ -609,3 +614,65 @@ def test_bisect_json_is_the_indented_dump(tmp_path, capsys, fixtures, corpus):
         assert code == 0 and out == json.dumps(payload, indent=2) + "\n"
         parities.add((g.n > 9000, cert.parity))
     assert parities == {(False, 0), (False, 1), (True, 0), (True, 1)}
+
+
+def command_outputs(tmp_path, capsys) -> str:
+    """`bisect`, `partition` and `verify` (text and JSON) on every curated
+    fixture, each run's exit code and stdout in one text. `verify` reads
+    bisect's document, or an even split where bisect refuses the graph."""
+    runs = []
+    for name, g in sorted(CURATED.items()):
+        gpath = write_graph(tmp_path, g, f"{name}.txt")
+        bpath = str(tmp_path / f"{name}.json")
+        for argv in (["bisect", gpath], ["partition", gpath]):
+            code, out, _ = run_cli(capsys, argv)
+            runs.append(f"{name} {argv[0]} {code}\n{out}")
+            if argv[0] == "bisect":
+                half = g.n // 2
+                split = {"black": list(range(half)), "white": list(range(half, g.n))}
+                with open(bpath, "w", encoding="utf-8") as fh:
+                    fh.write(out if code == 0 else json.dumps(split))
+        for fmt in ("text", "json"):
+            code, out, _ = run_cli(capsys, ["verify", gpath, bpath, "--format", fmt])
+            runs.append(f"{name} verify-{fmt} {code}\n{out}")
+    return "".join(runs)
+
+
+# sha256 of command_outputs, as the commands printed it when the cover was
+# still a tuple of Block objects.
+COMMAND_OUTPUTS_SHA256 = "3f9b697cf96aa296b41db2a980cacf4c571c1523b38fde5b296baca58e05ae89"
+
+
+def test_commands_build_no_block_objects(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Block was built on a command path")
+
+    monkeypatch.setattr(structure, "Block", refuse)
+    text = command_outputs(tmp_path, capsys)
+    assert "AssertionError" not in text
+    assert hashlib.sha256(text.encode()).hexdigest() == COMMAND_OUTPUTS_SHA256
+
+
+@pytest.mark.parametrize("command", ["check", "bisect"])
+def test_a_header_too_large_for_memory_exits_2(tmp_path, command):
+    # n = 10^12 labels do not fit: the run must refuse the instance, not
+    # crash. The child's address space is capped so that the allocation
+    # fails however the host hands out memory.
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "huge.txt"
+    path.write_text("1000000000000 1\n0 1\n")
+    cap = 2 * 2**30
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cubisect", command, str(path)],
+        preexec_fn=limit,
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: instance too large for memory\n")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -29,6 +30,7 @@ from cubisect import (
 )
 from cubisect.bisection import DIAMOND_ONE_MONO
 from cubisect.construct import require_cover, require_in_class
+from helpers import reference_find_blocks
 
 # diamond 0..3 feeding a triangle 4..6 whose two free corners close a
 # second path into a trumpet 7..9; reducing the diamond doubles the
@@ -221,6 +223,37 @@ def test_walk_colorings_are_pinned(corpus):
     for g in graphs:
         digest.update(bytes(desired_bisection_csp(g, find_blocks(g)).colors))
     assert digest.hexdigest() == WALK_DIGEST
+
+
+def paint_calls(g) -> int:
+    """How many times the walk on g calls its chain painter."""
+    part = find_blocks(g)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "paint":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        desired_bisection_csp(g, part)
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def test_the_walk_paints_each_chain_once(corpus):
+    graphs = [g for _, g in corpus]
+    # The n ~ 10^3 rung of scripts/bench_stages.py, even k.
+    graphs.append(generate(BlockRecipe(62, 208, 62, seed=1)))
+    for g in graphs:
+        kinds = [b.kind for b in reference_find_blocks(g).blocks]
+        # Each chain joins two node ports: 3 per triangle, 1 per trumpet.
+        chains = (3 * kinds.count("triangle") + kinds.count("trumpet")) // 2
+        # Without nodes one call paints the whole ring, unless n == 2.
+        assert paint_calls(g) == (chains if chains else int(g.n > 2)), g.edge_list()
 
 
 def test_min_bisection_is_desired_but_for_the_flip_on_corpus(corpus):

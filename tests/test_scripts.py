@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from cubisect import format_graph, generate
+from cubisect import find_blocks, format_graph, generate, parse_graph, validate
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
@@ -20,18 +20,43 @@ def load(name: str):
     return module
 
 
+STAGES = ["parse", "validate", "find_blocks", "cover", "construct", "certify", "desired", "serialize"]
+
+
+def run_stages(bench, text: str) -> list[str]:
+    names = []
+    for name, stage in bench.pipeline(text):
+        stage()
+        names.append(name)
+    return names
+
+
 @pytest.mark.parametrize("parity", [0, 1], ids=["even-k", "odd-k"])
 def test_bench_stages_pipeline_runs_every_stage(parity):
     bench = load("bench_stages")
     r = bench.recipe(100, parity)
     assert r.k % 2 == parity
-    names = []
-    for name, stage in bench.pipeline(format_graph(generate(r))):
-        stage()
-        names.append(name)
-    assert names == [
-        "parse", "validate", "find_blocks", "cover", "construct", "certify", "desired", "serialize",
-    ]
+    assert run_stages(bench, format_graph(generate(r))) == STAGES
+
+
+@pytest.mark.parametrize("parity", [0, 1], ids=["even-k", "odd-k"])
+@pytest.mark.parametrize("shape", ["mix", "shuffled", "diamond-ring", "digon-ring", "triangle-tree"])
+def test_bench_stages_shapes_run_every_stage(shape, parity):
+    bench = load("bench_stages")
+    assert shape in bench.SHAPES
+    text = bench.shape_text(shape, 100, parity)
+    g = parse_graph(text)
+    assert abs(g.n - 100) <= 4 and validate(g).in_class and find_blocks(g).k % 2 == parity
+    if shape == "mix":
+        assert text == format_graph(generate(bench.recipe(100, parity)))
+    assert run_stages(bench, text) == STAGES
+
+
+def test_bench_stages_shuffled_is_the_mix_out_of_order():
+    bench = load("bench_stages")
+    mix, text = bench.shape_text("mix", 100, 0), bench.shape_text("shuffled", 100, 0)
+    counts = [(p.k, p.t, p.p) for p in map(find_blocks, map(parse_graph, (mix, text)))]
+    assert counts[0] == counts[1] and text != format_graph(parse_graph(text))
 
 
 def test_loading_bench_stages_leaves_sys_path_alone():
