@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GraphFormatError
-from .multigraph import Multigraph
+from .multigraph import Multigraph, is_cubic
 from .structure import DIAMOND, DIGON, TRUMPET, StructurePartition
 
 BLACK = 0
@@ -80,11 +80,16 @@ def mono_stats(g: Multigraph, b: Bisection) -> MonoStats:
     start, nbr = g._start, g._nbr
     # Each monochromatic edge is seen from both of its ends.
     same = [0, 0]
-    for u in range(g.n):
-        c = colors[u]
-        for v in nbr[start[u] : start[u + 1]]:
-            if colors[v] == c:
-                same[c] += 1
+    if is_cubic(g):
+        runs = iter(nbr)  # zipped thrice with itself: one run per step
+        for c, x, y, z in zip(colors, runs, runs, runs):
+            same[c] += (colors[x] == c) + (colors[y] == c) + (colors[z] == c)
+    else:
+        for u in range(g.n):
+            c = colors[u]
+            for v in nbr[start[u] : start[u + 1]]:
+                if colors[v] == c:
+                    same[c] += 1
     eb, ew = same[BLACK] // 2, same[WHITE] // 2
     return MonoStats(epsilon=eb + ew, epsilon_black=eb, epsilon_white=ew)
 
@@ -100,6 +105,17 @@ def is_2bisection(g: Multigraph, b: Bisection) -> bool:
         raise ValueError(f"coloring covers {b.n} vertices, graph has {g.n}")
     colors = b.colors
     start, nbr = g._start, g._nbr
+    if is_cubic(g):
+        # On a run x <= y <= z: x and another same-colored neighbor other
+        # than x, or else y and z both same-colored and distinct.
+        runs = iter(nbr)
+        for c, x, y, z in zip(colors, runs, runs, runs):
+            if colors[x] == c:
+                if (colors[y] == c and y != x) or (colors[z] == c and z != x):
+                    return False
+            elif colors[y] == c and colors[z] == c and z != y:
+                return False
+        return True
     for v in range(g.n):
         c = colors[v]
         mate = -1

@@ -7,15 +7,25 @@ repeated once per parallel edge; v's run is ``_nbr[_start[v]:_start[v + 1]]``
 and ``_start[n]`` is twice the edge count. Loops are rejected, and
 multiplicity is capped at 3 (more is impossible in a loop-free cubic
 multigraph, the only family this package targets).
+
+A cubic graph, the input the package is built for, gets its own layout:
+every run is three slots long, v's at 3v, so ``_start`` is
+``range(0, 3n + 1, 3)`` and no offset list is held. The fill places each
+end at slot 3u + (u's count so far), counted in a bytearray, and chooses
+this layout whenever the counts all come out 3; the readers of the hot
+paths step through the runs three slots at a time. Any other graph, a
+vertex of degree 4 included, gets n+1 offsets in a list and the general
+loops.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, compress, islice, repeat
-from operator import eq, gt, itemgetter, le, lt
+from operator import eq, gt, itemgetter, lt, or_
 
 from .errors import GraphFormatError
 
@@ -38,6 +48,43 @@ def _check_ends(n: int, ends: list[int]) -> None:
                 raise ValueError(f"loop at vertex {u} not allowed")
 
 
+def _cubic_runs(n: int, ends: list[int]) -> list[int] | None:
+    """The sorted runs of a graph with 2m = 3n ends, v's run at slots
+    3v..3v+2, or None unless every degree is 3."""
+    # Each end goes to slot 3u + (u's count so far). A vertex of degree
+    # above 3 spills into the next vertex's slots, past the end of the list
+    # (IndexError) or past a byte's range (ValueError); then some count is
+    # not 3, and the caller builds the general layout from ends afresh.
+    count = bytearray(n)
+    nbr = [0] * len(ends)
+    # Each edge is a pair of consecutive ends, read off one iterator.
+    it = iter(ends)
+    try:
+        for u, v in zip(it, it):
+            i = count[u]
+            nbr[3 * u + i] = v
+            count[u] = i + 1
+            i = count[v]
+            nbr[3 * v + i] = u
+            count[v] = i + 1
+    except (IndexError, ValueError):
+        return None
+    if count.count(3) != n:
+        return None
+    # Sort only the runs holding a descent, screened in C slot against slot.
+    # The screen reads v's slots before v's run is rewritten, and the sort
+    # leaves every other slot where it was.
+    descents = map(
+        or_,
+        map(gt, islice(nbr, 0, None, 3), islice(nbr, 1, None, 3)),
+        map(gt, islice(nbr, 1, None, 3), islice(nbr, 2, None, 3)),
+    )
+    for v in compress(range(n), descents):
+        nbr[3 * v : 3 * v + 3] = sorted(nbr[3 * v : 3 * v + 3])
+    # A vertex of degree 3 carries no pair above the multiplicity cap.
+    return nbr
+
+
 class Multigraph:
     """Immutable undirected multigraph without loops.
 
@@ -54,20 +101,27 @@ class Multigraph:
             raise ValueError("every edge needs exactly two endpoints")
         ends = list(chain.from_iterable(pairs))
         _check_ends(n, ends)
-        self._fill(n, ends, False)
+        self._fill(n, ends)
 
     @classmethod
-    def _from_ends(cls, n: int, ends: list[int], in_order: bool) -> "Multigraph":
+    def _from_ends(cls, n: int, ends: list[int]) -> "Multigraph":
         """The graph with edges (ends[0], ends[1]), (ends[2], ends[3]), ...,
-        which _check_ends or the caller has checked; in_order says that
-        each edge has u < v and the edges come in increasing (u, v) order."""
+        which _check_ends or the caller has checked. The edges may come in
+        any order and orientation, as the fill sorts the runs that need it.
+        ends is only read, so a cubic fill that meets a vertex of another
+        degree hands it unchanged to the general one."""
         g = cls.__new__(cls)
-        g._fill(n, ends, in_order)
+        g._fill(n, ends)
         return g
 
-    def _fill(self, n: int, ends: list[int], in_order: bool) -> None:
+    def _fill(self, n: int, ends: list[int]) -> None:
         # _nbr holds the objects of ends itself, so a parsed graph keeps 2m
         # references to its n label objects rather than 2m ints of its own.
+        self.n = n
+        nbr = _cubic_runs(n, ends) if len(ends) == 3 * n else None
+        if nbr is not None:
+            self._start, self._nbr = range(0, 3 * n + 1, 3), nbr
+            return
         deg = [0] * n
         for x in ends:
             deg[x] += 1
@@ -84,18 +138,15 @@ class Multigraph:
             i = pos[v]
             nbr[i] = u
             pos[v] = i + 1
-        # Edges in order, as format_graph writes them, fill every run in
-        # order: v's smaller neighbors by their edges (u, v), then its larger
-        # ones by its own edges (v, w). Otherwise sort the runs that hold a
-        # descent anywhere but at their first slot. Nearly every run boundary
-        # is a descent, so the descents are screened against a mask of the
-        # run starts in C rather than gathered into a set of about n entries.
-        if not in_order:
-            is_start = bytearray(len(nbr) + 1)
-            any(map(is_start.__setitem__, start, repeat(1)))  # setitem returns None
-            inner = map(gt, map(gt, nbr, islice(nbr, 1, None)), islice(is_start, 1, None))
-            for v in {bisect_right(start, j) - 1 for j in compress(range(1, len(nbr)), inner)}:
-                nbr[start[v] : start[v + 1]] = sorted(nbr[start[v] : start[v + 1]])
+        # Sort the runs that hold a descent anywhere but at their first slot.
+        # Nearly every run boundary is a descent, so the descents are screened
+        # against a mask of the run starts in C rather than gathered into a set
+        # of about n entries.
+        is_start = bytearray(len(nbr) + 1)
+        any(map(is_start.__setitem__, start, repeat(1)))  # setitem returns None
+        inner = map(gt, map(gt, nbr, islice(nbr, 1, None)), islice(is_start, 1, None))
+        for v in {bisect_right(start, j) - 1 for j in compress(range(1, len(nbr)), inner)}:
+            nbr[start[v] : start[v + 1]] = sorted(nbr[start[v] : start[v + 1]])
         # Only a vertex of degree above the cap can carry a pair above it.
         for v in compress(range(n), map(lt, repeat(MAX_MULTIPLICITY), deg)):
             run = nbr[start[v] : start[v + 1]]
@@ -103,7 +154,6 @@ class Multigraph:
                 if a == b:
                     pair = (v, a) if v < a else (a, v)
                     raise ValueError(f"edge {pair} has multiplicity > {MAX_MULTIPLICITY}")
-        self.n = n
         self._start = start
         self._nbr = nbr
 
@@ -122,6 +172,16 @@ class Multigraph:
         """Edges expanded by multiplicity, sorted by (min, max) endpoint."""
         start, nbr = self._start, self._nbr
         out = []
+        if is_cubic(self):
+            runs = iter(nbr)  # zipped thrice with itself: one sorted run per step
+            for u, x, y, z in zip(range(self.n), runs, runs, runs):
+                if x > u:
+                    out.append((u, x))
+                if y > u:
+                    out.append((u, y))
+                if z > u:
+                    out.append((u, z))
+            return out
         for u in range(self.n):
             for v in nbr[start[u] : start[u + 1]]:
                 if v > u:
@@ -193,8 +253,9 @@ def validate(g: Multigraph) -> ValidationReport:
 
 
 def is_cubic(g: Multigraph) -> bool:
-    """True iff every vertex has degree 3."""
-    return g._start == list(range(0, 3 * g.n + 1, 3))
+    """True iff every vertex has degree 3: the fill gives exactly those
+    graphs range offsets, so this reads the type and allocates nothing."""
+    return isinstance(g._start, range)
 
 
 def _is_k4(g: Multigraph) -> bool:
@@ -209,6 +270,15 @@ def is_connected(g: Multigraph) -> bool:
     seen[0] = True
     count = 1
     stack = [0]
+    if is_cubic(g):
+        while stack:
+            v = 3 * stack.pop()
+            for u in nbr[v : v + 3]:
+                if not seen[u]:
+                    seen[u] = True
+                    count += 1
+                    stack.append(u)
+        return count == g.n
     while stack:
         v = stack.pop()
         for u in nbr[start[v] : start[v + 1]]:
@@ -225,6 +295,24 @@ def _find_claw(g: Multigraph) -> tuple[int, int, int, int] | None:
     # claw: it has at most one triple of distinct neighbors, and that triple
     # holds the two other corners of the triangle, which are adjacent.
     in_triangle = [False] * g.n
+    if is_cubic(g):
+        # The general loop below on runs x <= y <= z of three slots each:
+        # a run with a repeat has two distinct neighbors at most, and one of
+        # three distinct neighbors is their only triple.
+        runs = iter(nbr)
+        for v, x, y, z in zip(range(g.n), runs, runs, runs):
+            if in_triangle[v] or x == y or y == z:
+                continue
+            near_x = nbr[3 * x : 3 * x + 3]
+            if y in near_x:
+                in_triangle[x] = in_triangle[y] = True
+            elif z in near_x:
+                in_triangle[x] = in_triangle[z] = True
+            elif z in nbr[3 * y : 3 * y + 3]:
+                in_triangle[y] = in_triangle[z] = True
+            else:
+                return (v, x, y, z)
+        return None
     for v in range(g.n):
         if in_triangle[v] and start[v + 1] - start[v] <= 3:
             continue
@@ -271,10 +359,9 @@ def parse_graph(text: str) -> Multigraph:
         raise GraphFormatError(str(exc)) from exc
 
 
-def _read_edges(text: str) -> tuple[int, list[int], bool]:
-    """The vertex count, the flat endpoint list u0 v0 u1 v1 ... of the edge
-    lines, holding one shared int object per vertex label, and whether the
-    lines are in format_graph's order: u < v, by increasing (u, v).
+def _read_edges(text: str) -> tuple[int, list[int]]:
+    """The vertex count and the flat endpoint list u0 v0 u1 v1 ... of the
+    edge lines, holding one shared int object per vertex label.
 
     The text is read once, in slices of about _SLICE characters, each cut
     just after a newline, so only one slice's lines and tokens are alive at
@@ -287,8 +374,6 @@ def _read_edges(text: str) -> tuple[int, list[int], bool]:
     labels: list[int] = []
     ends: list[int] = []
     count = 0
-    in_order = True
-    last = (-1, -1)
     at = 0
     while at < len(text):
         cut = text.find("\n", at + _SLICE) + 1 or len(text)
@@ -315,19 +400,10 @@ def _read_edges(text: str) -> tuple[int, list[int], bool]:
             ints = list(map(int, tokens))
         except ValueError:
             _raise_bad_line(lines)
-        us, vs = ints[0::2], ints[1::2]
         # Only a "-" can make a label negative, which indexing would take.
-        if "-" in joined or any(map(eq, us, vs)):
+        it = iter(ints)
+        if "-" in joined or any(map(eq, it, it)):
             _check_ends(n, ints)
-        # Checked here, on the slice's own ints, the order is cheap; on the
-        # filled layout it would take a pass over scattered label objects.
-        if in_order:
-            in_order = (
-                last <= (us[0], vs[0])
-                and all(map(lt, us, vs))
-                and all(map(le, zip(us, vs), zip(islice(us, 1, None), islice(vs, 1, None))))
-            )
-            last = (us[-1], vs[-1])
         # The parsed ints are dropped with the slice; the graph keeps 2m
         # references to n label objects, not 2m objects of its own. The
         # labels wait for a slice of good lines, so that a huge n in a bad
@@ -343,7 +419,7 @@ def _read_edges(text: str) -> tuple[int, list[int], bool]:
     if count != m:
         raise GraphFormatError(f"expected {m} edge lines, found {count}")
     _check_ends(n, [])  # n < 1 with no edge line
-    return n, ends, in_order
+    return n, ends
 
 
 def _header(line: str) -> tuple[int, int]:
@@ -352,9 +428,14 @@ def _header(line: str) -> tuple[int, int]:
     if len(header) != 2:
         raise GraphFormatError(f"expected header 'n m', got {line!r}")
     try:
-        return int(header[0]), int(header[1])
+        n, m = int(header[0]), int(header[1])
     except ValueError as exc:
         raise GraphFormatError(f"non-integer header {line!r}") from exc
+    # No list can be n long, and allocating one would raise OverflowError,
+    # not the MemoryError that a merely too large n raises.
+    if n > sys.maxsize:
+        raise MemoryError(f"vertex count {n} exceeds any list's length")
+    return n, m
 
 
 def _raise_bad_line(lines: list[str]) -> None:

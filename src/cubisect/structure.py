@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, groupby, repeat
 
 from .errors import PartitionError
 from .multigraph import Multigraph, is_cubic
@@ -98,8 +99,18 @@ class StructurePartition:
         "vertices"}, ...], "k", "t", "p"}, written by joining strings, since
         an indented dump runs the pure-Python encoder. A cover has at least
         one block, as a graph has at least one vertex."""
-        blocks = ",\n    ".join([_BLOCK_JSON[kind] % vs for kind, vs in zip(self.kinds, self.members)])
-        return f'{{\n  "blocks": [\n    {blocks}\n  ],\n  "k": {self.k},\n  "t": {self.t},\n  "p": {self.p}\n}}\n'
+        # One % per run of equal kinds, over a template of the run's blocks,
+        # and one join at the end: no string per block, no second copy.
+        parts, at = ['{\n  "blocks": [\n    '], 0
+        for kind, group in groupby(self.kinds):
+            size = len(list(group))
+            if at:
+                parts.append(",\n    ")
+            ints = tuple(chain.from_iterable(self.members[at : at + size]))
+            parts.append(",\n    ".join(repeat(_BLOCK_JSON[kind], size)) % ints)
+            at += size
+        parts.append(f'\n  ],\n  "k": {self.k},\n  "t": {self.t},\n  "p": {self.p}\n}}\n')
+        return "".join(parts)
 
 
 def find_blocks(g: Multigraph) -> StructurePartition:

@@ -8,8 +8,10 @@ that the one-pass local rule of ``find_blocks`` replaced, and its
 matching between blocks by a scan of every adjacency slot,
 ``reference_is_desired`` checks the four conditions of a desired
 bisection over every triangle of the graph instead of tallying blocks,
-and ``reference_cover_json`` gives the cover as the dict that
-``json.dumps(..., indent=2)`` turns into the text ``partition`` prints.
+``reference_cover_json`` gives the cover as the dict that
+``json.dumps(..., indent=2)`` turns into the text ``partition`` prints,
+and the ``reference_`` readers of the flat layout below are the general
+loops over every vertex's run, which cubic graphs bypass.
 ``relabel`` renames vertices for the label-invariance tests.
 """
 
@@ -23,6 +25,7 @@ from operator import eq
 from cubisect import Bisection, Block, Multigraph, PartitionError, StructurePartition
 from cubisect.bisection import (
     DIAMOND_ONE_MONO,
+    MonoStats,
     MONO_IN_TRIANGLE,
     MULTI_EDGE_NOT_MONO,
     TRIANGLE_ONE_MONO,
@@ -316,4 +319,89 @@ def diamonds_disjoint_check(g: Multigraph) -> bool:
         if seen & dset:
             return False
         seen |= dset
+    return True
+
+
+# -- the general loops over the flat layout ----------------------------------
+#
+# Each indexes v's run as _nbr[_start[v] : _start[v + 1]], whatever the
+# layout, as the library does for graphs that are not cubic.
+
+
+def reference_edge_list(g: Multigraph) -> list[tuple[int, int]]:
+    start, nbr = g._start, g._nbr
+    out = []
+    for u in range(g.n):
+        for v in nbr[start[u] : start[u + 1]]:
+            if v > u:
+                out.append((u, v))
+    return out
+
+
+def reference_is_connected(g: Multigraph) -> bool:
+    start, nbr = g._start, g._nbr
+    seen = [False] * g.n
+    seen[0] = True
+    count = 1
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for u in nbr[start[v] : start[v + 1]]:
+            if not seen[u]:
+                seen[u] = True
+                count += 1
+                stack.append(u)
+    return count == g.n
+
+
+def reference_find_claw(g: Multigraph) -> tuple[int, int, int, int] | None:
+    start, nbr = g._start, g._nbr
+    in_triangle = [False] * g.n
+    for v in range(g.n):
+        if in_triangle[v] and start[v + 1] - start[v] <= 3:
+            continue
+        run = nbr[start[v] : start[v + 1]]
+        if len(run) < 3:
+            continue
+        if len(run) != 3 or run[0] == run[1] or run[1] == run[2]:
+            run = list(dict.fromkeys(run))
+            if len(run) < 3:
+                continue
+        for a, b, c in combinations(run, 3):
+            near_a = nbr[start[a] : start[a + 1]]
+            if b in near_a:
+                in_triangle[a] = in_triangle[b] = True
+            elif c in near_a:
+                in_triangle[a] = in_triangle[c] = True
+            elif c in nbr[start[b] : start[b + 1]]:
+                in_triangle[b] = in_triangle[c] = True
+            else:
+                return (v, a, b, c)
+    return None
+
+
+def reference_mono_stats(g: Multigraph, b: Bisection) -> MonoStats:
+    colors = b.colors
+    start, nbr = g._start, g._nbr
+    same = [0, 0]
+    for u in range(g.n):
+        c = colors[u]
+        for v in nbr[start[u] : start[u + 1]]:
+            if colors[v] == c:
+                same[c] += 1
+    eb, ew = same[0] // 2, same[1] // 2
+    return MonoStats(epsilon=eb + ew, epsilon_black=eb, epsilon_white=ew)
+
+
+def reference_is_2bisection(g: Multigraph, b: Bisection) -> bool:
+    colors = b.colors
+    start, nbr = g._start, g._nbr
+    for v in range(g.n):
+        c = colors[v]
+        mate = -1
+        for u in nbr[start[v] : start[v + 1]]:
+            if colors[u] == c:
+                if mate >= 0 and u != mate:
+                    return False
+                mate = u
     return True

@@ -676,3 +676,16 @@ def test_a_header_too_large_for_memory_exits_2(tmp_path, command):
         check=False,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: instance too large for memory\n")
+
+
+@pytest.mark.parametrize("command", ["check", "partition", "bisect", "oracle", "verify"])
+def test_a_header_past_any_list_length_exits_2(tmp_path, capsys, command):
+    # n = 2^63 cannot even be asked of the allocator: allocating n slots
+    # would raise OverflowError, so the header check refuses it first.
+    graph = tmp_path / "huge.txt"
+    graph.write_text("9223372036854775808 1\n0 1\n")
+    coloring = tmp_path / "b.json"
+    coloring.write_text('{"black": [0], "white": [1]}')
+    argv = [command, str(graph)] + ([str(coloring)] if command == "verify" else [])
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (2, "", "error: instance too large for memory\n")

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cubisect.cli as cli
 from cubisect import (
+    Bisection,
     BlockRecipe,
     GraphFormatError,
     Multigraph,
@@ -22,7 +24,18 @@ from cubisect import (
     ring_of_diamonds,
     validate,
 )
-from helpers import relabel, triangles
+from cubisect.bisection import is_2bisection, mono_stats
+from cubisect.multigraph import _find_claw, is_connected, is_cubic
+from helpers import (
+    balanced_colorings,
+    reference_edge_list,
+    reference_find_claw,
+    reference_is_2bisection,
+    reference_is_connected,
+    reference_mono_stats,
+    relabel,
+    triangles,
+)
 
 
 def triple_edge():
@@ -393,3 +406,120 @@ def test_edge_order_does_not_change_results(corpus, fixtures, data):
     if report.in_class:
         assert find_blocks(h) == find_blocks(g)
         assert min_bisection(h) == min_bisection(g)
+
+
+# -- the cubic core --------------------------------------------------------
+
+
+def _model_neighbors(n, edges):
+    """Each vertex's sorted neighbor list, one entry per edge end."""
+    near = [[] for _ in range(n)]
+    for u, v in edges:
+        near[u].append(v)
+        near[v].append(u)
+    return [sorted(run) for run in near]
+
+
+# 2m = 3n with degrees 4, 3, 3, 2, so only the counts tell the fill that the
+# graph is not cubic: the degree-4 vertex last (its fourth end falls past the
+# list) and first (it spills into vertex 1's slots).
+SPILLS = {
+    "last": "4 6\n3 0\n3 1\n3 2\n3 0\n0 1\n1 2\n",
+    "first": "4 6\n0 3\n0 1\n0 2\n0 3\n3 1\n1 2\n",
+}
+
+
+@pytest.mark.parametrize("where", sorted(SPILLS))
+def test_a_spilling_graph_gets_the_general_layout(where, tmp_path, capsys):
+    text = SPILLS[where]
+    g = parse_graph(text)
+    edges = [tuple(map(int, line.split())) for line in text.splitlines()[1:]]
+    assert not is_cubic(g) and isinstance(g._start, list)
+    assert [g.neighbors(v) for v in range(4)] == _model_neighbors(4, edges)
+    assert g == Multigraph(4, edges)
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    assert cli.main(["check", str(path)]) == 2
+    assert "cubic: no\n" in capsys.readouterr().out
+
+
+def test_parse_sorts_every_run_of_a_shuffled_relabelled_corpus(corpus):
+    rng = random.Random(5)
+    for _, g in corpus:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        edges = [(perm[u], perm[v]) for u, v in g.edge_list()]
+        # Lines shuffled, endpoints swapped at random.
+        lines = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+        rng.shuffle(lines)
+        h = parse_graph(f"{g.n} {len(lines)}\n" + "".join(f"{u} {v}\n" for u, v in lines))
+        assert is_cubic(h)
+        assert [h.neighbors(v) for v in range(h.n)] == _model_neighbors(g.n, edges)
+        assert h == relabel(g, perm)
+
+
+def _petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Multigraph(10, outer + inner + [(i, i + 5) for i in range(5)])
+
+
+def _reader_graphs(corpus):
+    """Cubic graphs of every kind the readers meet, and the spilling ones."""
+    prism = Multigraph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5)])
+    two_prisms = Multigraph(12, prism.edge_list() + [(u + 6, v + 6) for u, v in prism.edge_list()])
+    k33 = Multigraph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    spills = [parse_graph(text) for text in SPILLS.values()]
+    return [g for _, g in corpus[::9]] + [two_prisms, k33, _petersen()] + spills
+
+
+def _colorings(g, rng):
+    """Every balanced coloring of a small graph, else seeded ones, the
+    constructed minimum among them where there is one."""
+    if g.n <= 12:
+        yield from balanced_colorings(g.n)
+        return
+    if validate(g).in_class:
+        bis, _ = min_bisection(g)
+        yield bis.colors
+        yield bis.swapped().colors
+    for _ in range(20):
+        colors = [0] * (g.n // 2) + [1] * (g.n // 2)
+        rng.shuffle(colors)
+        yield tuple(colors)
+
+
+def test_cubic_readers_match_the_general_loops(corpus):
+    rng = random.Random(11)
+    graphs = _reader_graphs(corpus)
+    assert sum(map(is_cubic, graphs)) == len(graphs) - len(SPILLS)
+    verdicts = set()
+    for g in graphs:
+        assert g.edge_list() == reference_edge_list(g)
+        assert is_connected(g) == reference_is_connected(g)
+        assert _find_claw(g) == reference_find_claw(g)
+        verdicts |= {("connected", is_connected(g)), ("claw-free", _find_claw(g) is None)}
+        if g.n % 2:
+            continue
+        for colors in _colorings(g, rng):
+            b = Bisection(colors)
+            assert mono_stats(g, b) == reference_mono_stats(g, b)
+            two = is_2bisection(g, b)
+            assert two == reference_is_2bisection(g, b)
+            verdicts.add(("2-bisection", two))
+    # Each reader answered both ways.
+    assert len(verdicts) == 6
+
+
+def test_a_cubic_graph_holds_no_offset_list():
+    g = generate(BlockRecipe(626, 2082, 625, seed=1))
+    assert g.n == 10_000 and g._start == range(0, 3 * g.n + 1, 3)
+    assert isinstance(g._start, range) and len(g._nbr) == 3 * g.n
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        assert is_cubic(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024
