@@ -19,13 +19,14 @@ Every command runs in process, through the CLI's own argument parser and
   bad headers and lines, labels out of range, loops, a multiplicity above
   3, a wrong line count, bytes that are not UTF-8, a vertex of degree 4,
   a claw, a disconnected graph;
-* overflow -- headers whose n is 2**63 or more.
+* overflow -- texts whose header's n is 2**63 or more, with good edge
+  lines, none, a bad line, or too few lines.
 
 A graph goes in on stdin. `verify` reads two colorings of each graph:
 bisect's document when bisect succeeds, and the first half of the
 vertices black. `gen` runs on the corpus recipes. The digests of one
 checkout equal another's exactly when every command wrote the same bytes
-and exit codes on every input; tests/test_scripts.py pins them.
+and exit codes on every input; tests/test_cli.py pins them.
 """
 
 from __future__ import annotations
@@ -94,6 +95,9 @@ OVERFLOW = (
     b"9223372036854775808 1\n0 1\n",
     b"9223372036854775808 0\n",
     b"18446744073709551616 3\n0 1\n0 1\n0 1\n",
+    # The line's fault and the line count are named before the size.
+    b"9223372036854775808 1\n0 x\n",
+    b"9223372036854775808 5\n",
 )
 
 

@@ -12,12 +12,15 @@ bisection over every triangle of the graph instead of tallying blocks,
 ``json.dumps(..., indent=2)`` turns into the text ``partition`` prints,
 and the ``reference_`` readers of the flat layout below are the general
 loops over every vertex's run, which cubic graphs bypass.
-``relabel`` renames vertices for the label-invariance tests.
+``relabel`` renames vertices for the label-invariance tests, and
+``load_script`` imports one of the scripts/ files by name.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import os
 from bisect import bisect_right
 from itertools import combinations, compress, islice
 from operator import eq
@@ -328,16 +331,6 @@ def diamonds_disjoint_check(g: Multigraph) -> bool:
 # layout, as the library does for graphs that are not cubic.
 
 
-def reference_edge_list(g: Multigraph) -> list[tuple[int, int]]:
-    start, nbr = g._start, g._nbr
-    out = []
-    for u in range(g.n):
-        for v in nbr[start[u] : start[u + 1]]:
-            if v > u:
-                out.append((u, v))
-    return out
-
-
 def reference_is_connected(g: Multigraph) -> bool:
     start, nbr = g._start, g._nbr
     seen = [False] * g.n
@@ -405,3 +398,14 @@ def reference_is_2bisection(g: Multigraph, b: Bisection) -> bool:
                     return False
                 mate = u
     return True
+
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+
+
+def load_script(name: str):
+    """scripts/<name>.py as a fresh module."""
+    spec = importlib.util.spec_from_file_location(name, os.path.join(SCRIPTS, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

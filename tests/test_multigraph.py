@@ -28,7 +28,6 @@ from cubisect.bisection import is_2bisection, mono_stats
 from cubisect.multigraph import _find_claw, is_connected, is_cubic
 from helpers import (
     balanced_colorings,
-    reference_edge_list,
     reference_find_claw,
     reference_is_2bisection,
     reference_is_connected,
@@ -187,6 +186,10 @@ PARSE_ERRORS = {
     "2 1\n0 #\n": "non-integer edge line '0 #'",
     "2 4\n0 1\n0 1\n0 1\n1 0\n": "edge (0, 1) has multiplicity > 3",
     "0 0\n": "vertex count must be positive, got 0",
+    # An n past any list's length is refused only where the labels would
+    # be allocated, so a bad line or line count is named first.
+    "9223372036854775808 1\n0 x\n": "non-integer edge line '0 x'",
+    "9223372036854775808 5\n": "expected 5 edge lines, found 0",
 }
 
 
@@ -495,7 +498,6 @@ def test_cubic_readers_match_the_general_loops(corpus):
     assert sum(map(is_cubic, graphs)) == len(graphs) - len(SPILLS)
     verdicts = set()
     for g in graphs:
-        assert g.edge_list() == reference_edge_list(g)
         assert is_connected(g) == reference_is_connected(g)
         assert _find_claw(g) == reference_find_claw(g)
         verdicts |= {("connected", is_connected(g)), ("claw-free", _find_claw(g) is None)}

@@ -2,22 +2,12 @@
 
 from __future__ import annotations
 
-import importlib.util
-import os
 import sys
 
 import pytest
 
 from cubisect import find_blocks, format_graph, generate, parse_graph, validate
-
-SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
-
-
-def load(name: str):
-    spec = importlib.util.spec_from_file_location(name, os.path.join(SCRIPTS, f"{name}.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from helpers import load_script
 
 
 STAGES = ["parse", "validate", "find_blocks", "cover", "construct", "certify", "desired", "serialize"]
@@ -33,7 +23,7 @@ def run_stages(bench, text: str) -> list[str]:
 
 @pytest.mark.parametrize("parity", [0, 1], ids=["even-k", "odd-k"])
 def test_bench_stages_pipeline_runs_every_stage(parity):
-    bench = load("bench_stages")
+    bench = load_script("bench_stages")
     r = bench.recipe(100, parity)
     assert r.k % 2 == parity
     assert run_stages(bench, format_graph(generate(r))) == STAGES
@@ -42,7 +32,7 @@ def test_bench_stages_pipeline_runs_every_stage(parity):
 @pytest.mark.parametrize("parity", [0, 1], ids=["even-k", "odd-k"])
 @pytest.mark.parametrize("shape", ["mix", "shuffled", "diamond-ring", "digon-ring", "triangle-tree"])
 def test_bench_stages_shapes_run_every_stage(shape, parity):
-    bench = load("bench_stages")
+    bench = load_script("bench_stages")
     assert shape in bench.SHAPES
     text = bench.shape_text(shape, 100, parity)
     g = parse_graph(text)
@@ -53,7 +43,7 @@ def test_bench_stages_shapes_run_every_stage(shape, parity):
 
 
 def test_bench_stages_shuffled_is_the_mix_out_of_order():
-    bench = load("bench_stages")
+    bench = load_script("bench_stages")
     mix, text = bench.shape_text("mix", 100, 0), bench.shape_text("shuffled", 100, 0)
     counts = [(p.k, p.t, p.p) for p in map(find_blocks, map(parse_graph, (mix, text)))]
     assert counts[0] == counts[1] and text != format_graph(parse_graph(text))
@@ -61,91 +51,20 @@ def test_bench_stages_shuffled_is_the_mix_out_of_order():
 
 def test_loading_bench_stages_leaves_sys_path_alone():
     before = list(sys.path)
-    load("bench_stages")
+    load_script("bench_stages")
     assert sys.path == before
 
 
 def test_fixture_report(capsys):
-    assert load("fixture_report").main() == 0
+    assert load_script("fixture_report").main() == 0
     out = capsys.readouterr().out
     assert out.startswith("name") and "ring3" in out
 
 
 def test_corpus_sweep_small_grid(capsys, monkeypatch):
-    sweep = load("corpus_sweep")
+    sweep = load_script("corpus_sweep")
     monkeypatch.setattr(sweep, "MAX_N", 10)
     monkeypatch.setattr(sweep, "SEEDS", 1)
     monkeypatch.setattr(sweep, "LIMIT", 10)
     assert sweep.main() == 0
     assert " 0 mismatches" in capsys.readouterr().out
-
-
-# scripts/output_digest.py's table. A change that alters output on purpose
-# re-pins the rows it meant to change and says why. The overflow rows were
-# re-pinned when a header whose n is 2**63 or more went from exit 3 (an
-# OverflowError) to exit 2 ("error: instance too large for memory").
-OUTPUT_DIGESTS = """
-check-text   fixtures           81230ac4f12e94b46af17ed738b2c2975d493ab5a1ca933f8cab0b7419b1cc9c
-check-json   fixtures           8b9aff8d95f947c9b5d3718a2fdc62cf2934e51f6eed6e0e69cb12785c376489
-partition    fixtures           f993c3be8c088615c679ce2a1498088e4803e1d9de5b24627fa1eb7cf31f9c21
-bisect-json  fixtures           819be355eadd74f0f60ebfca239fa4ae172cfb1019e967422786a4fc31eb7d7e
-bisect-dot   fixtures           11b8d97550afc2bc4e5c3afb1ceed589c4ac06314290ec3bfc053dfc1190f924
-oracle       fixtures           a2998b8abe1c463d0dfae10df5e27df19059d0442b556337ea8148152d1bab1d
-verify-text  fixtures           9c47d40a6e02909d761ba27736a414e1260dec09683ece386c9e4c595fdf7475
-verify-json  fixtures           d3c00f91665f97d1578e95254fbd14bed72abd016a66a6a6566848c2f2b39631
-check-text   fixtures-shuffled  c80d96b370f9726813e59abcd7b0c7f935c5e4caaac50cab1b736d7a721a959a
-check-json   fixtures-shuffled  bfd99ad9e1c3fe03a075a15617845f852324a1a55e4eddac870871639bdbed37
-partition    fixtures-shuffled  3ec9034d7aa84fac8993eede981df021b0a8bdce46519c7818d578af5cd2a1b7
-bisect-json  fixtures-shuffled  7f0af017f1f73b69d59b07d443274a5dee4c2ea72a0b52cb2f2c907bd091385b
-bisect-dot   fixtures-shuffled  c3249ca96893e7f60beed8181f777ee744d2c297f745df1e87856710a27a4997
-oracle       fixtures-shuffled  a2998b8abe1c463d0dfae10df5e27df19059d0442b556337ea8148152d1bab1d
-verify-text  fixtures-shuffled  194b793d9a5ede0732106feee95bb0a3f3521674e7bca24b175ce7d48463bcc9
-verify-json  fixtures-shuffled  29262cbd97aebc3412de74f886ba74dfebff788eaddbb1e85ce5f254d85c6fee
-check-text   corpus             019b820ac0afe32f91acfd0a85fcaf21abee5030856a96d487c33bf4f825fa4f
-check-json   corpus             630824051416f0d2585d6287983df1902b3fc6f43c10fce8c20cfcba835decce
-partition    corpus             88545eb5303fdc9a5f6f0afd48558c7b6971fae2266f3b4423344a5c2ac66c66
-bisect-json  corpus             71175555d8430d2a4665c4f22f772af71de8d25473f27feb79f1c62ffebe0519
-bisect-dot   corpus             9a781616670b60aed440fb171829179e51da16ed2d2b1bb4a45a9309e3fd2b59
-oracle       corpus             07b32255e1be2ee7529c96f26b1e5b74bd9b5937674a1b54331f791c329c7375
-verify-text  corpus             5b22aa32ae56c9b4dad6cff925712dc9658379f5f10f53bd6d7b706ae73f0360
-verify-json  corpus             f1cc096e96c95652ca717879bf42bd6a827b7097b8f251c84fadbe759454460e
-check-text   corpus-shuffled    019b820ac0afe32f91acfd0a85fcaf21abee5030856a96d487c33bf4f825fa4f
-check-json   corpus-shuffled    630824051416f0d2585d6287983df1902b3fc6f43c10fce8c20cfcba835decce
-partition    corpus-shuffled    818d5201fd10dae18f1f6e14b245fc5badc05df9735ed5bd086d7b0e87ff69db
-bisect-json  corpus-shuffled    8f62aa3d66adb633d66ef5b6798c60a94ba977e6782fd82cd432fd05c466f68a
-bisect-dot   corpus-shuffled    87f9948862c7adaeaa56e19ab2e9c0092a84ccb6abdf225e704b187f3e14492f
-oracle       corpus-shuffled    07b32255e1be2ee7529c96f26b1e5b74bd9b5937674a1b54331f791c329c7375
-verify-text  corpus-shuffled    9fde62c4f88025343987d4095fb347dd06793bbbc0d02d83dbd1e0ef367a7afa
-verify-json  corpus-shuffled    148cf5250556e552d2e831b4d51b274c581052b2c07fb3d1bb287af4cf1d55ee
-check-text   rings              eb88b0c1b1c613c84dc9afa8ceec44aac50f67f139fa84e9de1a9b99058c8542
-check-json   rings              c39eb1bb312023da470b32c2b192bc7845e62d156e6465af1d42ae7bda3ae640
-partition    rings              90b892f6a3e037ac3594e1943ad7e13b28e19145d741c734630166da7b06c4fb
-bisect-json  rings              a3dd2925f89ef6b640e6f86becf3c6d8443f0df40a7976ca71a4c99238f895d7
-bisect-dot   rings              f5b6014f6974ab4cbd3860370bd91b58d9e122b04f9b0c298fee9986f121f62a
-oracle       rings              7d5cccdf2d733124157662b71bc9026dbe7bfb583295838d9ee7018911fe2fa7
-verify-text  rings              4c0210bc1c5876196d0672b4173ae55630c36b37423d518b7b77777bbae42990
-verify-json  rings              6e3df060afd41f964a248435383ef66257992661d972d0343174dd512c2210c3
-check-text   faulty             7b10fc674b1c57be9e275ec0bd8a1b9e9cd36e234d3eb31417fce6a422ace72e
-check-json   faulty             4b903815685dc76ea8f4f4a97b6cb82ee237f1243277586464c0924131f37fc2
-partition    faulty             5c947472ae572cac75de3b5ac837436d6ddda55c49a43bdece997e64dda76c5c
-bisect-json  faulty             8db50258b9ffb67aa301dd070b5068030325c468f4304536f7f9407cda09f449
-bisect-dot   faulty             890592f22ea1c8223d3aa94c7bc084c25b3d5af5cb75d06344d5f0a8f904f825
-oracle       faulty             f3fec9adb9173c5c37910e4088edc22d6934ccc1e6f9b085461a79fcd8645f71
-verify-text  faulty             f3093d9036059bb42a6ffd0d38fbf9422c82a0e873b1848221ff05ccd780593b
-verify-json  faulty             a03e73cafae4ab6a2a646f51dcd7ad32fac656c2c10071356587beffaeb002a2
-check-text   overflow           e47c73474a31ef6eb8cfcd4a438d7ede13a1b5a88358607247131bd2f13826c4
-check-json   overflow           e47c73474a31ef6eb8cfcd4a438d7ede13a1b5a88358607247131bd2f13826c4
-partition    overflow           e47c73474a31ef6eb8cfcd4a438d7ede13a1b5a88358607247131bd2f13826c4
-bisect-json  overflow           e47c73474a31ef6eb8cfcd4a438d7ede13a1b5a88358607247131bd2f13826c4
-bisect-dot   overflow           e47c73474a31ef6eb8cfcd4a438d7ede13a1b5a88358607247131bd2f13826c4
-oracle       overflow           e47c73474a31ef6eb8cfcd4a438d7ede13a1b5a88358607247131bd2f13826c4
-verify-text  overflow           e47c73474a31ef6eb8cfcd4a438d7ede13a1b5a88358607247131bd2f13826c4
-verify-json  overflow           e47c73474a31ef6eb8cfcd4a438d7ede13a1b5a88358607247131bd2f13826c4
-gen-text     corpus             eeff6dca15e81bd296299908c9034848bd0ac2298bfb37e36e6cd7a44db42c8e
-gen-dot      corpus             6eba02357135a9966895924e28461da3517c5b961802ab09eda5cb8d851943ad
-"""
-
-
-def test_output_digests_are_pinned(capsys):
-    assert load("output_digest").main() == 0
-    assert capsys.readouterr().out == OUTPUT_DIGESTS.lstrip()
