@@ -19,11 +19,12 @@ count k, built deterministically, so runs compare from commit to commit:
   edge between them a bridge (one of them through a diamond for odd k).
 
 The rings have no triangle, so the walk colors them by propagation. The
-stages are the ones `min_bisection` and the CLI run: parse, validate (the
-class gate's connectivity test; find_blocks checks the rest),
-find_blocks (the cover and the matching between its blocks), cover (the
-block cover's JSON text, what `cubisect partition` prints), construct
-(the Euler walk along that matching), certify (mono_stats and
+stages are the ones `min_bisection` and the CLI run, in their order:
+parse, find_blocks (the cover and the matching between its blocks, which
+checks the class but for connectivity), validate (the class gate's
+connectivity test, a search over the blocks along that matching), cover
+(the block cover's JSON text, what `cubisect partition` prints),
+construct (the Euler walk along the matching), certify (mono_stats and
 is_2bisection), desired (is_desired on the constructed coloring, what
 `cubisect verify` runs beyond certify, reading the matching too) and
 serialize (the bisection JSON, written as `cubisect bisect` writes it).
@@ -74,7 +75,7 @@ from cubisect import (  # noqa: E402
     parse_graph,
 )
 from cubisect.cli import _dict_json  # noqa: E402
-from cubisect.multigraph import is_connected  # noqa: E402
+from cubisect.construct import cover_is_connected  # noqa: E402
 
 SIZES = (1000, 10_000, 100_000, 480_000)
 SEED = 1
@@ -178,11 +179,11 @@ def pipeline(text: str):
     def parse():
         state["g"] = parse_graph(text)
 
-    def check():
-        is_connected(state["g"])
-
     def blocks():
         state["part"] = find_blocks(state["g"])
+
+    def check():
+        cover_is_connected(state["part"])
 
     def cover():
         state["part"].json_text()
@@ -203,8 +204,8 @@ def pipeline(text: str):
 
     return [
         ("parse", parse),
-        ("validate", check),
         ("find_blocks", blocks),
+        ("validate", check),
         ("cover", cover),
         ("construct", construct),
         ("certify", certify),

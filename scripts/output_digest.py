@@ -3,7 +3,7 @@
 `cubisect` writes for every input of the group: the exit code, stdout and
 stderr.
 
-Usage: python scripts/output_digest.py
+Usage: python scripts/output_digest.py [--large]
 
 Every command runs in process, through the CLI's own argument parser and
 `run`, in every format it takes, on a fixed input set:
@@ -22,6 +22,12 @@ Every command runs in process, through the CLI's own argument parser and
 * overflow -- texts whose header's n is 2**63 or more, with good edge
   lines, none, a bad line, or too few lines.
 
+With --large it digests one more group instead, by hand and outside the
+tests, as it takes about a minute:
+
+* stages-1e5 -- the n ~ 10^5 rungs of bench_stages.py, every shape, both
+  parities of the diamond count.
+
 A graph goes in on stdin. `verify` reads two colorings of each graph:
 bisect's document when bisect succeeds, and the first half of the
 vertices black. `gen` runs on the corpus recipes. The digests of one
@@ -31,6 +37,7 @@ and exit codes on every input; tests/test_cli.py pins them.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -138,6 +145,13 @@ def groups() -> dict[str, list[bytes]]:
     }
 
 
+def large_groups() -> dict[str, list[bytes]]:
+    """The n ~ 10^5 group's graph texts."""
+    from bench_stages import SHAPES, shape_text  # a script in this one's directory
+
+    return {"stages-1e5": [shape_text(shape, 100_000, parity).encode() for shape in SHAPES for parity in (0, 1)]}
+
+
 class Runner:
     """Runs CLI commands in process, each on its own stdin, and returns
     what they wrote."""
@@ -183,13 +197,13 @@ def digest(runs: list[tuple[int, str, str]]) -> str:
     return h.hexdigest()
 
 
-def digests() -> list[tuple[str, str, str]]:
+def digests(large: bool = False) -> list[tuple[str, str, str]]:
     """(command and format, input group, SHA-256) for every pair, in a
-    fixed order."""
+    fixed order: the small groups and gen, or else the n ~ 10^5 group."""
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         cli = Runner(tmp)
-        for group, texts in groups().items():
+        for group, texts in (large_groups() if large else groups()).items():
             # bisect's JSON runs first, as verify reads its documents.
             bisected = [cli(["bisect", "-", "--format", "json"], text) for text in texts]
             colorings = []
@@ -210,17 +224,22 @@ def digests() -> list[tuple[str, str, str]]:
                     else:
                         runs = [cli([command, "-", *fmt_args], text) for text in texts]
                     rows.append((command + ("-" + fmt if fmt else ""), group, digest(runs)))
+        if large:
+            return rows
         gen = [["gen", str(r.k), str(r.t), str(r.p), "--seed", str(r.seed)] for r in corpus_recipes()]
         for fmt in ("text", "dot"):
             rows.append((f"gen-{fmt}", "corpus", digest([cli([*argv, "--format", fmt]) for argv in gen])))
     return rows
 
 
-def main() -> int:
-    for name, group, digest in digests():
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--large", action="store_true", help="digest the n ~ 10^5 group instead")
+    args = parser.parse_args(argv or [])
+    for name, group, digest in digests(args.large):
         print(f"{name:12} {group:18} {digest}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -10,6 +10,7 @@ the black and white shares of epsilon are equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
 
 from .errors import GraphFormatError
 from .multigraph import Multigraph, is_cubic
@@ -26,6 +27,9 @@ DIAMOND_ONE_MONO = "diamond_one_mono"
 MULTI_EDGE_NOT_MONO = "multi_edge_not_mono"
 
 Violation = tuple[str, tuple[int, ...]]
+
+# Maps a color byte to 1 if it is BLACK and to 0 if it is WHITE.
+_IS_BLACK = bytes.maketrans(bytes((BLACK, WHITE)), b"\1\0")
 
 
 @dataclass(frozen=True)
@@ -44,20 +48,24 @@ class Bisection:
 
     @classmethod
     def from_black_set(cls, n: int, black) -> "Bisection":
+        """The coloring of 0..n-1 in which the vertices (ints) in black
+        are black and the others white."""
         black = set(black)
-        if not black <= set(range(n)):
+        if black and (min(black) < 0 or max(black) >= n):
             raise ValueError("black set contains out-of-range vertices")
-        return cls(tuple(BLACK if v in black else WHITE for v in range(n)))
+        colors = [WHITE] * n
+        any(map(colors.__setitem__, black, repeat(BLACK)))  # setitem returns None
+        return cls(tuple(colors))
 
     @property
     def n(self) -> int:
         return len(self.colors)
 
     def black(self) -> list[int]:
-        return [v for v, c in enumerate(self.colors) if c == BLACK]
+        return list(compress(range(self.n), bytes(self.colors).translate(_IS_BLACK)))
 
     def white(self) -> list[int]:
-        return [v for v, c in enumerate(self.colors) if c == WHITE]
+        return list(compress(range(self.n), self.colors))  # WHITE is 1, BLACK 0
 
     def swapped(self) -> "Bisection":
         return Bisection(tuple(1 - c for c in self.colors))
@@ -193,10 +201,18 @@ def bisection_from_json(obj: dict, n: int) -> Bisection:
     if not (isinstance(black, list) and isinstance(white, list)):
         raise GraphFormatError("'black' and 'white' must be lists of vertices")
     # Exact type test: JSON true/false load as bool, a subclass of int.
-    if any(type(v) is not int for v in black + white):
+    if not {*map(type, black), *map(type, white)} <= {int}:
         raise GraphFormatError("vertex labels must be integers")
-    if set(black) & set(white):
+    black_set, white_set = set(black), set(white)
+    if not black_set.isdisjoint(white_set):
         raise ValueError("a vertex appears in both color classes")
-    if sorted(set(black) | set(white)) != list(range(n)) or len(black) + len(white) != n:
+    # Disjoint sets cover 0..n-1 once iff they hold n labels in all, from n
+    # list items, each label in range.
+    if (
+        len(black) + len(white) != n
+        or len(black_set) + len(white_set) != n
+        or min(min(black, default=0), min(white, default=0)) < 0
+        or max(max(black, default=-1), max(white, default=-1)) >= n
+    ):
         raise ValueError(f"color classes must cover 0..{n - 1} exactly once")
-    return Bisection.from_black_set(n, black)
+    return Bisection.from_black_set(n, black_set)

@@ -14,9 +14,10 @@ tuple, which the walk picks itself. Diamond removal and splicing
 and are kept for the tests that check it.
 
 ``require_cover`` is the class gate: a cubic graph has a block cover
-exactly when it has no claw and no K4 component, so the cover plus the
-connectivity test decide the class, and the claw search runs only when
-they fail, to build the report.
+exactly when it has no claw and no K4 component, so the cover plus a
+search over its blocks along the matching between them decide the class,
+and validate's claw search and connectivity test run only when they
+fail, to build the report.
 ``min_bisection`` certifies its coloring with one ``mono_stats`` and one
 ``is_2bisection`` pass; for even k a count equal to the formula already
 makes the coloring desired.
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 from .bisection import BLACK, WHITE, Bisection, MonoStats, is_2bisection, mono_stats
 from .errors import CertificateError, LiftError, NotApplicable, PartitionError, ReductionError
-from .multigraph import Multigraph, format_graph, is_connected, validate
+from .multigraph import Multigraph, format_graph, validate
 from .structure import DIAMOND, DIGON, TRIANGLE, TRUMPET, Block, StructurePartition, find_blocks
 
 
@@ -324,22 +325,45 @@ def require_in_class(g: Multigraph) -> None:
         )
 
 
+def cover_is_connected(part: StructurePartition) -> bool:
+    """True iff the graph of the cover part is connected.
+
+    Each block is connected inside, and every edge between two blocks is
+    one of part.ext, so a search over the blocks along ext reaches every
+    block exactly when the graph is connected.
+    """
+    members, block_of, ext = part.members, part.vertex_to_block, part.ext
+    seen = bytearray(len(members))
+    seen[0] = 1
+    stack = [0]
+    while stack:
+        for u in members[stack.pop()]:
+            w = ext[u]
+            if w >= 0:
+                j = block_of[w]
+                if not seen[j]:
+                    seen[j] = 1
+                    stack.append(j)
+    return 0 not in seen
+
+
 def require_cover(g: Multigraph) -> StructurePartition:
     """The block cover of g; raises NotApplicable, with the same report,
     wherever require_in_class does.
 
     find_blocks refuses a graph that is not cubic or has a claw or a K4
-    component, so a cover of a connected graph proves it in class, and
-    the claw search of validate runs only when the cover or the
-    connectivity test fails, to build the report. A PartitionError on an
-    in-class graph propagates.
+    component, and cover_is_connected tells from the cover alone whether
+    the graph is connected, so together they prove g in class. validate,
+    with its claw search and its connectivity test over the vertices, runs
+    only when one of them fails, to build the report. A PartitionError on
+    an in-class graph propagates.
     """
     try:
         part = find_blocks(g)
     except PartitionError:
         require_in_class(g)
         raise
-    if not is_connected(g):
+    if not cover_is_connected(part):
         require_in_class(g)  # raises: g is not connected
     return part
 

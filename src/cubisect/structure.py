@@ -17,6 +17,10 @@ meaning a digon or trumpet and otherwise the count of adjacent pairs
 among them, 2 on a diamond's shared side and 1 anywhere else. A count of
 0 is a claw and 3 a K4 component; a cubic graph has the cover exactly
 when neither occurs, so the cover is also the class gate's claw test.
+The vertex that lists a block claims the block's vertices above it, whose
+runs it has read, and those are skipped: each triangle and diamond is
+worked out once, not at every corner. Connectivity is left to a search
+over the blocks along the matching between them (construct.require_cover).
 """
 
 from __future__ import annotations
@@ -130,6 +134,13 @@ def find_blocks(g: Multigraph) -> StructurePartition:
       (else v is a diamond's outer corner or a trumpet's apex), listed at
       v < p < q.
 
+    The vertex that lists a block claims the block's other vertices above
+    it and writes their ext, each the slot of its own run that the block
+    leaves (the label object itself, not an int computed afresh); the loop
+    skips claimed vertices. The rule at a claimed vertex would only write
+    that same ext: its lister has read its whole run, so it centers no claw
+    and lies in no K4, and it lists nothing, as the lister is smaller.
+
     Blocks come as triple digons, doubled pairs, diamonds, then triangles,
     each group in the order of the vertex that lists it, as flat lists of
     kinds and vertex tuples: no Block is built. A vertex on a
@@ -144,23 +155,35 @@ def find_blocks(g: Multigraph) -> StructurePartition:
     nbr = g._nbr
     triples, pairs, diamonds, triangles = [], [], [], []  # vertex tuples in role order
     ext = [-1] * n
+    claimed = bytearray(n)  # 1 where a smaller vertex listed the block
     runs = iter(nbr)  # zipped thrice with itself: one sorted run per step
     for v, x, y, z in zip(range(n), runs, runs, runs):
+        if claimed[v]:
+            continue
         if x == z:
             if v < x:
                 triples.append((v, x))
+                claimed[x] = 1
         elif x == y or y == z:
             u, r = (x, z) if x == y else (z, x)
-            if r in nbr[3 * u : 3 * u + 3]:
+            run_u = nbr[3 * u : 3 * u + 3]  # v twice, and u's third neighbor
+            if r in run_u:
                 if v < u:
                     pairs.append((r, v, u))
+                    claimed[u] = 1
+                    if r > v:  # the apex: its run holds v, u and its ext
+                        claimed[r] = 1
+                        r0, r1, r2 = nbr[3 * r : 3 * r + 3]
+                        ext[r] = r0 if r0 != v else r2 if r1 == u else r1
             else:
                 ext[v] = r
                 if v < u:
                     pairs.append((v, u))
+                    claimed[u] = 1
+                    ext[u] = run_u[2] if run_u[0] == v else run_u[0]
         else:
-            near_x = nbr[3 * x : 3 * x + 3]
-            xy, xz, yz = y in near_x, z in near_x, z in nbr[3 * y : 3 * y + 3]
+            near_x, near_y = nbr[3 * x : 3 * x + 3], nbr[3 * y : 3 * y + 3]
+            xy, xz, yz = y in near_x, z in near_x, z in near_y
             count = xy + xz + yz
             if count == 0:
                 raise PartitionError(f"vertex {v} centers a claw ({x}, {y}, {z})")
@@ -170,12 +193,31 @@ def find_blocks(g: Multigraph) -> StructurePartition:
                 h, a, d = (x, y, z) if xy and xz else (y, x, z) if yz and xy else (z, x, y)
                 if v < h:
                     diamonds.append((a, v, h, d))
+                    # h's run is (v, a, d), so h has no ext; an outer
+                    # corner's run holds v, h and its ext, in the slot that
+                    # v and h leave.
+                    claimed[h] = 1
+                    for c in (a, d):
+                        if c > v:
+                            claimed[c] = 1
+                            r0, r1, r2 = nbr[3 * c : 3 * c + 3]
+                            ext[c] = r0 if r0 != v else r2 if r1 == h else r1
             else:
                 p, q, ext[v] = (x, y, z) if xy else (x, z, y) if xz else (y, z, x)
-                # p and q see v, each other and one vertex each: five in
-                # all iff both runs are simple and those two differ.
-                if v < p and len({*nbr[3 * p : 3 * p + 3], *nbr[3 * q : 3 * q + 3]}) == 5:
-                    triangles.append((v, p, q))
+                if v < p:
+                    # p and q see v, each other and one vertex each: five in
+                    # all iff both runs are simple and those two differ.
+                    run_p = near_x if p == x else near_y
+                    run_q = near_y if q == y else nbr[3 * q : 3 * q + 3]
+                    if len({*run_p, *run_q}) == 5:
+                        triangles.append((v, p, q))
+                        # v < p < q; each one's ext is the slot the other
+                        # two corners leave in its run.
+                        claimed[p] = claimed[q] = 1
+                        r0, r1, r2 = run_p
+                        ext[p] = r0 if r0 != v else r2 if r1 == q else r1
+                        r0, r1, r2 = run_q
+                        ext[q] = r0 if r0 != v else r2 if r1 == p else r1
 
     members = triples + pairs + diamonds + triangles
     kinds = [DIGON] * len(triples) + [TRUMPET if len(vs) == 3 else DIGON for vs in pairs]

@@ -319,10 +319,45 @@ def _stub_matching(rng, n):
     return Multigraph(n, [(u, v) for u, v in zip(stubs[::2], stubs[1::2]) if u != v])
 
 
+def _digon_ring(count):
+    """A ring of count digons, each one's second end joined to the next
+    one's first."""
+    return Multigraph(
+        2 * count,
+        [e for i in range(0, 2 * count, 2) for e in ((i, i + 1), (i, i + 1), (i + 1, (i + 2) % (2 * count)))],
+    )
+
+
+def _disjoint_union(g, h):
+    return Multigraph(g.n + h.n, g.edge_list() + [(u + g.n, v + g.n) for u, v in h.edge_list()])
+
+
+def _shuffled(rng, g):
+    """g relabelled by a random permutation, its edges in a random order
+    and orientation."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    edges = [(perm[v], perm[u]) if rng.random() < 0.5 else (perm[u], perm[v]) for u, v in g.edge_list()]
+    rng.shuffle(edges)
+    return Multigraph(g.n, edges)
+
+
 def test_require_cover_matches_validate_then_cover(fixtures, corpus):
     rng = random.Random(7)
     prism = fixtures["prism"].edge_list()
+    # Disconnected graphs with rings of digons and diamonds as components:
+    # the block search crosses no triangle there.
+    triangle_free = [
+        _disjoint_union(ring_of_diamonds(3), _digon_ring(2)),
+        _disjoint_union(fixtures["prism"], ring_of_diamonds(3)),
+        _disjoint_union(ring_of_diamonds(2), ring_of_diamonds(3)),
+    ]
+    triangle_free += [_shuffled(rng, g) for g in triangle_free]
+    for g in triangle_free:
+        # Covered, so only the block search can refuse them.
+        assert isinstance(find_blocks(g), StructurePartition) and not validate(g).is_connected
     graphs = [
+        *triangle_free,
         *fixtures.values(),
         *(g for _, g in corpus),
         Multigraph(12, prism + [(u + 6, v + 6) for u, v in prism]),

@@ -10,7 +10,7 @@ from cubisect import find_blocks, format_graph, generate, parse_graph, validate
 from helpers import load_script
 
 
-STAGES = ["parse", "validate", "find_blocks", "cover", "construct", "certify", "desired", "serialize"]
+STAGES = ["parse", "find_blocks", "validate", "cover", "construct", "certify", "desired", "serialize"]
 
 
 def run_stages(bench, text: str) -> list[str]:
