@@ -19,6 +19,10 @@ Every command runs in process, through the CLI's own argument parser and
   bad headers and lines, labels out of range, loops, a multiplicity above
   3, a wrong line count, bytes that are not UTF-8, a vertex of degree 4,
   a claw, a disconnected graph;
+* faulty-later -- the ring of 2001 diamonds with its last edge line, which
+  lies in the parser's second slice, replaced by each bad edge line of
+  faulty: too few tokens, a non-integer, a trailing comment, a label of n,
+  a negative label, a loop;
 * overflow -- texts whose header's n is 2**63 or more, with good edge
   lines, none, a bad line, or too few lines.
 
@@ -98,6 +102,8 @@ FAULTY = (
     b"12 18\n0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n0 3\n1 4\n2 5\n"
     b"6 7\n6 8\n7 8\n9 10\n9 11\n10 11\n6 9\n7 10\n8 11\n",
 )
+# faulty's bad edge lines; "{n}" is the vertex count of the text they go in.
+FAULTY_LINES = ("0", "0 x", "0 1 # tail", "0 {n}", "0 -1", "1 1")
 OVERFLOW = (
     b"9223372036854775808 1\n0 1\n",
     b"9223372036854775808 0\n",
@@ -129,18 +135,27 @@ def shuffled_text(g, rng: random.Random) -> str:
     return f"{g.n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
 
 
+def later_faults(g) -> list[bytes]:
+    """g's text with its last edge line replaced by each of FAULTY_LINES."""
+    text = format_graph(g)
+    head = text[: text.rindex("\n", 0, -1) + 1]
+    return [(head + line.format(n=g.n) + "\n").encode() for line in FAULTY_LINES]
+
+
 def groups() -> dict[str, list[bytes]]:
     """Each input group's graph texts."""
     rng = random.Random(SEED)
     fixtures = [g for _, g in curated_suite()]
     corpus = list(map(generate, corpus_recipes()))
+    ring = ring_of_diamonds(2001)
     return {
         "fixtures": [format_graph(g).encode() for g in fixtures],
         "fixtures-shuffled": [shuffled_text(g, rng).encode() for g in fixtures],
         "corpus": [format_graph(g).encode() for g in corpus],
         "corpus-shuffled": [shuffled_text(g, rng).encode() for g in corpus],
-        "rings": [format_graph(ring_of_diamonds(k)).encode() for k in (3, 2001)],
+        "rings": [format_graph(ring_of_diamonds(3)).encode(), format_graph(ring).encode()],
         "faulty": list(FAULTY),
+        "faulty-later": later_faults(ring),
         "overflow": list(OVERFLOW),
     }
 

@@ -20,6 +20,7 @@ loops.
 
 from __future__ import annotations
 
+import json
 import sys
 from bisect import bisect_right
 from collections import Counter
@@ -50,7 +51,9 @@ def _check_ends(n: int, ends: list[int]) -> None:
 
 def _cubic_runs(n: int, ends: list[int]) -> list[int] | None:
     """The sorted runs of a graph with 2m = 3n ends, v's run at slots
-    3v..3v+2, or None unless every degree is 3."""
+    3v..3v+2, or None unless every degree is 3. Edges given in sorted
+    order leave every run sorted; a screen of the slot columns in C finds
+    that and returns before the per-run screen."""
     # Each end goes to slot 3u + (u's count so far). A vertex of degree
     # above 3 spills into the next vertex's slots, past the end of the list
     # (IndexError) or past a byte's range (ValueError); then some count is
@@ -72,13 +75,18 @@ def _cubic_runs(n: int, ends: list[int]) -> list[int] | None:
     if count.count(3) != n:
         return None
     # Sort only the runs holding a descent, screened in C slot against slot.
-    # The screen reads v's slots before v's run is rewritten, and the sort
-    # leaves every other slot where it was.
-    descents = map(
-        or_,
-        map(gt, islice(nbr, 0, None, 3), islice(nbr, 1, None, 3)),
-        map(gt, islice(nbr, 1, None, 3), islice(nbr, 2, None, 3)),
-    )
+    # Sorted input holds no descent at all: one pass over each pair of
+    # adjacent slot columns settles that, and the per-run screen runs only
+    # when some run needs a sort. The columns are read through islices, as
+    # copies of them would add 3n references to the parse's peak. The screen
+    # reads v's slots before v's run is rewritten, and the sort leaves every
+    # other slot where it was.
+    def column(i):
+        return islice(nbr, i, None, 3)
+
+    if not (any(map(gt, column(0), column(1))) or any(map(gt, column(1), column(2)))):
+        return nbr
+    descents = map(or_, map(gt, column(0), column(1)), map(gt, column(1), column(2)))
     for v in compress(range(n), descents):
         nbr[3 * v : 3 * v + 3] = sorted(nbr[3 * v : 3 * v + 3])
     # A vertex of degree 3 carries no pair above the multiplicity cap.
@@ -357,12 +365,19 @@ def _read_edges(text: str) -> tuple[int, list[int]]:
 
     The text is read once, in slices of about _SLICE characters, each cut
     just after a newline, so only one slice's lines and tokens are alive at
-    a time. The first fault in reading order raises where it is found: a
-    bad header at once; in a slice, the first line that is not two
-    integers, then the first edge out of range or looped (or n < 1); after
-    the last slice, a missing header, then a line count other than m.
+    a time. A slice after the header's that holds nothing but plain `u v`
+    lines (see _plain_ints) is read in bulk, its integers in C; any other
+    slice goes through the line reader, which alone names a bad line. Both
+    accept the same texts and give the same integers. The first fault in
+    reading order raises where it is found: a bad header at once; in a
+    slice, the first line that is not two integers, then the first edge out
+    of range or looped (or n < 1); after the last slice, a missing header,
+    then a line count other than m. A header whose m is more than the text
+    can hold builds no labels and keeps no ends, but its lines are checked
+    all the same, so the same fault is named.
     """
     n = m = None
+    keep = True
     labels: list[int] = []
     ends: list[int] = []
     count = 0
@@ -371,36 +386,33 @@ def _read_edges(text: str) -> tuple[int, list[int]]:
         cut = text.find("\n", at + _SLICE) + 1 or len(text)
         piece = text[at:cut]
         at = cut
-        lines = list(filter(None, map(str.strip, piece.splitlines())))
-        if "#" in piece:
-            lines = [ln for ln in lines if not ln.startswith("#")]
-        if n is None and lines:
-            n, m = _header(lines.pop(0))
-        if not lines:
-            continue
-        count += len(lines)
-        # One split for every edge line, with a "#" token between lines. No
-        # comment line is left and no integer reads "#", so each line holds
-        # exactly two integers iff every third token is a "#" and the others
-        # are integers.
-        joined = " # ".join(lines)
-        tokens = joined.split()
-        if len(tokens) != 3 * len(lines) - 1 or tokens[2::3] != ["#"] * (len(lines) - 1):
-            _raise_bad_line(lines)
-        del tokens[2::3]
-        try:
-            ints = list(map(int, tokens))
-        except ValueError:
-            _raise_bad_line(lines)
+        ints = None if n is None else _plain_ints(piece)
+        if ints is None:
+            lines = list(filter(None, map(str.strip, piece.splitlines())))
+            if "#" in piece:
+                lines = [ln for ln in lines if not ln.startswith("#")]
+            if n is None and lines:
+                n, m = _header(lines.pop(0))
+                # An edge line and its line end take at least 4 characters,
+                # so a larger m is a wrong line count whatever the lines
+                # hold: their faults are still named, but no labels are built.
+                keep = m <= len(text) // 4
+            if not lines:
+                continue
+            ints = _line_ints(lines)
+        count += len(ints) // 2
         # Only a "-" can make a label negative, which indexing would take.
         it = iter(ints)
-        if "-" in joined or any(map(eq, it, it)):
+        if "-" in piece or any(map(eq, it, it)):
             _check_ends(n, ints)
         # The parsed ints are dropped with the slice; the graph keeps 2m
         # references to n label objects, not 2m objects of its own. The
         # labels wait for a slice of good lines, so that a huge n in a bad
         # file allocates nothing before the fault is named.
         _check_size(n)
+        if not keep:
+            _check_ends(n, ints)
+            continue
         labels = labels or list(range(n))
         try:
             # At least two items, so itemgetter gives a tuple.
@@ -414,6 +426,50 @@ def _read_edges(text: str) -> tuple[int, list[int]]:
     _check_ends(n, [])  # n < 1 with no edge line
     _check_size(n)
     return n, ends
+
+
+# Deletes the ASCII digits, and turns the separators of plain lines into
+# the commas of a JSON array.
+_DIGITS = str.maketrans("", "", "0123456789")
+_COMMAS = str.maketrans(" \n", ",,")
+
+
+def _plain_ints(piece: str) -> list[int] | None:
+    """The integers of a slice of plain `u v` lines, each two runs of ASCII
+    digits with one space between and a newline after (but maybe the last),
+    read by the C JSON scanner; None for any other slice.
+
+    With the digits deleted such a slice leaves exactly " \n" per line,
+    and a lone " " for a last line without a newline. JSON then refuses an
+    empty token, a leading zero and more digits than int() takes (4300 by
+    default), so what it accepts is two integers per line, each as int()
+    reads it; the line reader takes whatever it refuses.
+    """
+    rest = piece.translate(_DIGITS)
+    if not rest or rest != " \n" * (len(rest) // 2) + " " * (len(rest) % 2):
+        return None
+    try:
+        return json.loads("[" + piece.rstrip("\n").translate(_COMMAS) + "]")
+    except ValueError:
+        return None
+
+
+def _line_ints(lines: list[str]) -> list[int]:
+    """The integers of edge lines, stripped and free of comments, two per
+    line; raises GraphFormatError on the first line that is not two
+    integers."""
+    # One split for every edge line, with a "#" token between lines. No
+    # comment line is left and no integer reads "#", so each line holds
+    # exactly two integers iff every third token is a "#" and the others
+    # are integers.
+    tokens = " # ".join(lines).split()
+    if len(tokens) != 3 * len(lines) - 1 or tokens[2::3] != ["#"] * (len(lines) - 1):
+        _raise_bad_line(lines)
+    del tokens[2::3]
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        _raise_bad_line(lines)
 
 
 def _check_size(n: int) -> None:
@@ -453,6 +509,7 @@ def format_graph(g: Multigraph) -> str:
     parse_graph(format_graph(g)) reproduces g exactly, and formatting a
     parsed canonical file reproduces it byte for byte.
     """
-    lines = [f"{g.n} {g.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.edge_list())
-    return "\n".join(lines) + "\n"
+    edges = g.edge_list()
+    # The header is a "u v" line too: one % over m + 1 of them, with no
+    # string per line.
+    return ("%d %d\n" * (len(edges) + 1)) % (g.n, len(edges), *chain.from_iterable(edges))

@@ -619,6 +619,8 @@ def test_bisect_json_is_the_indented_dump(tmp_path, capsys, fixtures, corpus):
 # re-pins the rows it meant to change and says why. The overflow rows were
 # re-pinned when a header whose n is 2**63 or more went from exit 3 (an
 # OverflowError) to exit 2 ("error: instance too large for memory").
+# The faulty-later rows were first computed on the parser that read every
+# slice line by line, before later slices could be read in bulk.
 OUTPUT_DIGESTS = """
 check-text   fixtures           81230ac4f12e94b46af17ed738b2c2975d493ab5a1ca933f8cab0b7419b1cc9c
 check-json   fixtures           8b9aff8d95f947c9b5d3718a2fdc62cf2934e51f6eed6e0e69cb12785c376489
@@ -668,6 +670,14 @@ bisect-dot   faulty             890592f22ea1c8223d3aa94c7bc084c25b3d5af5cb75d063
 oracle       faulty             f3fec9adb9173c5c37910e4088edc22d6934ccc1e6f9b085461a79fcd8645f71
 verify-text  faulty             f3093d9036059bb42a6ffd0d38fbf9422c82a0e873b1848221ff05ccd780593b
 verify-json  faulty             a03e73cafae4ab6a2a646f51dcd7ad32fac656c2c10071356587beffaeb002a2
+check-text   faulty-later       a2ccc8243371b9e265764c915cac9ae3b2646e6670489e5d3c90fb47e5b6d4a1
+check-json   faulty-later       a2ccc8243371b9e265764c915cac9ae3b2646e6670489e5d3c90fb47e5b6d4a1
+partition    faulty-later       a2ccc8243371b9e265764c915cac9ae3b2646e6670489e5d3c90fb47e5b6d4a1
+bisect-json  faulty-later       a2ccc8243371b9e265764c915cac9ae3b2646e6670489e5d3c90fb47e5b6d4a1
+bisect-dot   faulty-later       a2ccc8243371b9e265764c915cac9ae3b2646e6670489e5d3c90fb47e5b6d4a1
+oracle       faulty-later       a2ccc8243371b9e265764c915cac9ae3b2646e6670489e5d3c90fb47e5b6d4a1
+verify-text  faulty-later       a2ccc8243371b9e265764c915cac9ae3b2646e6670489e5d3c90fb47e5b6d4a1
+verify-json  faulty-later       a2ccc8243371b9e265764c915cac9ae3b2646e6670489e5d3c90fb47e5b6d4a1
 check-text   overflow           31be743555994a31eb3a5cac477fb357535ecba3fefb935fbf33f06d0e5f4d85
 check-json   overflow           31be743555994a31eb3a5cac477fb357535ecba3fefb935fbf33f06d0e5f4d85
 partition    overflow           31be743555994a31eb3a5cac477fb357535ecba3fefb935fbf33f06d0e5f4d85

@@ -118,9 +118,11 @@ def tmp_dir(tmp_path_factory):
 def test_edited_graph_texts_exit_cleanly(tmp_dir, graph, changes):
     text = _edit(graph, changes)
     # Edits can split the 20-digit int into a header of any size. From
-    # about 10**13 vertices no label list can be allocated, which exits 2;
-    # below that, the parser fills one of n labels before it names a wrong
-    # line count, up to gigabytes of memory, more than a test should take.
+    # about 10**13 vertices no label list can be allocated, which exits 2.
+    # Below that, a header whose m is more than the text can hold builds no
+    # labels, but one whose m the text could hold fills n labels as it
+    # reads the edge lines, whatever their count turns out to be: up to
+    # gigabytes of memory, more than a test should take.
     n = _header_n(text)
     assume(n is None or n <= 10**6 or n >= 10**13)
     doc = tmp_dir / "doc.json"

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cubisect.cli as cli
+import cubisect.multigraph as multigraph
 from cubisect import (
     Bisection,
     BlockRecipe,
@@ -258,19 +259,88 @@ def test_parse_reads_minus_zero_in_a_later_slice():
     assert parse_graph(text) == parse_graph(BIG)
 
 
-def test_parse_stops_at_a_fault_in_the_first_slice():
+def test_parse_stops_at_a_fault_in_the_first_slice(monkeypatch):
     # An edge out of range in the first slice is named before the rest of
-    # the text is read, so the parse peaks below that of the good text.
-    peaks = []
-    for text in (_big_with(first="0 8000"), BIG):
-        tracemalloc.start()
-        try:
-            with contextlib.suppress(GraphFormatError):
-                parse_graph(text)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[0] < peaks[1]
+    # the text is read: no later slice reaches either reader.
+    read = []
+    for name in ("_plain_ints", "_line_ints"):
+        reader = getattr(multigraph, name)
+        monkeypatch.setattr(multigraph, name, lambda arg, name=name, reader=reader: read.append(name) or reader(arg))
+    with pytest.raises(GraphFormatError, match=r"^edge \(0, 8000\) out of range for n=8000$"):
+        parse_graph(_big_with(first="0 8000"))
+    assert read == ["_line_ints"]
+    read.clear()
+    parse_graph(BIG)
+    assert read == ["_line_ints", "_plain_ints"]
+
+
+def test_parse_reads_plain_later_slices_in_bulk(monkeypatch):
+    # BIG's second slice is all plain "u v" lines, so it takes the bulk
+    # read; the header's slice always takes the line reader.
+    bulk = []
+    plain_ints = multigraph._plain_ints
+    monkeypatch.setattr(multigraph, "_plain_ints", lambda piece: bulk.append(plain_ints(piece)) or bulk[-1])
+    parse_graph(BIG)
+    assert bulk == [list(map(int, BIG[BIG.find("\n", 2**16) + 1 :].split()))]
+    # A text with no line end at all is plain, its last line included.
+    assert multigraph._plain_ints("10 2\n3 45") == [10, 2, 3, 45]
+
+
+# Lines the bulk read refuses, and one it takes, in place of BIG's last
+# edge line, in its second slice: each reads as the line reader reads it
+# in the header's slice.
+LATE_LINES = {
+    "leading-zero": "07998 7999\n",
+    "4301-digits": "7998 " + "1" * 4301 + "\n",
+    "tab": "7998\t7999\n",
+    "double-space": "7998  7999\n",
+    "sign": "+7998 7999\n",
+    "blank-line": "\n7998 7999\n",
+    "comment": "# last\n7998 7999\n",
+    "no-final-newline": "7998 7999",
+}
+
+
+def _outcome(text):
+    """text's graph as format_graph writes it, or the message it is refused with."""
+    try:
+        return format_graph(parse_graph(text))
+    except GraphFormatError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", list(LATE_LINES))
+def test_parse_reads_a_later_slice_as_the_line_reader_does(name):
+    tail = LATE_LINES[name]
+    body = BIG[len("8000 12000\n") : -len("7998 7999\n")]
+    late = "8000 12000\n" + body + tail
+    early = "8000 12000\n" + tail.rstrip("\n") + "\n" + body
+    assert late.find("\n", 2**16) < len(body)  # tail is past the first cut
+    expected = "non-integer edge line '7998 " + "1" * 4301 + "'" if name == "4301-digits" else BIG
+    assert _outcome(late) == _outcome(early) == expected
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3000000 5\n0 1\n", "expected 5 edge lines, found 1"),
+        ("3000000 5\n0 x\n", "non-integer edge line '0 x'"),
+        ("3000000 9\n0 3000000\n", "edge (0, 3000000) out of range for n=3000000"),
+        ("3000000 5\n1 1\n", "loop at vertex 1 not allowed"),
+        ("9223372036854775808 5\n0 1\n", "vertex count 9223372036854775808 exceeds any list's length"),
+    ],
+)
+def test_parse_builds_no_labels_for_more_lines_than_the_text_holds(text, message):
+    # m is above what the text's length can hold (4 characters an edge
+    # line), so no labels are built; each fault is still named in order.
+    tracemalloc.start()
+    try:
+        with pytest.raises((GraphFormatError, MemoryError), match=f"^{re.escape(message)}$"):
+            parse_graph(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_parse_reads_crlf_and_comments_across_slices():
@@ -305,7 +375,8 @@ def test_parse_reads_signed_labels():
 def test_parse_peak_memory_is_bounded():
     # bench_stages.py's n = 10^4 rung (even k). Reading the whole text at
     # once, with a fresh int per endpoint, peaked at 3.96 MB here; reading
-    # it in slices onto shared label objects peaks near 3.2 MB.
+    # it in slices onto shared label objects peaked near 3.2 MB, and
+    # reading the slices after the header's in bulk peaks near 2.0 MB.
     text = format_graph(generate(BlockRecipe(626, 2082, 625, seed=1)))
     tracemalloc.start()
     try:
@@ -313,7 +384,7 @@ def test_parse_peak_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.6 * 2**20
+    assert peak < 2.6 * 2**20
 
 
 def test_multiplicity_error_names_the_pair_at_the_lowest_vertex():
