@@ -88,6 +88,7 @@ __all__ = [
     "mono_stats",
     "oracle_min",
     "parse_graph",
+    "reduce_diamond",
     "ring_of_diamonds",
     "validate",
 ]

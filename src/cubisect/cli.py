@@ -60,8 +60,7 @@ def _dot_graph(g: Multigraph, colors: tuple[int, ...] | None = None) -> str:
         for v in range(g.n):
             fill, font = ("black", "white") if colors[v] == BLACK else ("white", "black")
             lines.append(f"  {v} [fillcolor={fill}, fontcolor={font}];")
-    for u, v, m in g.edge_pairs():
-        lines.extend(f"  {u} -- {v};" for _ in range(m))
+    lines.extend(f"  {u} -- {v};" for u, v in g.edge_list())
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -14,19 +14,19 @@ every run is three slots long, v's at 3v, so ``_start`` is
 end at slot 3u + (u's count so far), counted in a bytearray, and chooses
 this layout whenever the counts all come out 3; the readers of the hot
 paths step through the runs three slots at a time. Any other graph, a
-vertex of degree 4 included, gets n+1 offsets in a list and the general
-loops.
+vertex of degree 4 included, is out of class and gets n+1 offsets in a
+list and plain loops: past the parse, only ``check`` and ``verify`` read
+one, to report on it.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations, compress, islice, repeat
-from operator import eq, gt, itemgetter, lt, or_
+from itertools import accumulate, chain, combinations, compress, islice
+from operator import eq, gt, itemgetter, or_
 
 from .errors import GraphFormatError
 
@@ -146,21 +146,15 @@ class Multigraph:
             i = pos[v]
             nbr[i] = u
             pos[v] = i + 1
-        # Sort the runs that hold a descent anywhere but at their first slot.
-        # Nearly every run boundary is a descent, so the descents are screened
-        # against a mask of the run starts in C rather than gathered into a set
-        # of about n entries.
-        is_start = bytearray(len(nbr) + 1)
-        any(map(is_start.__setitem__, start, repeat(1)))  # setitem returns None
-        inner = map(gt, map(gt, nbr, islice(nbr, 1, None)), islice(is_start, 1, None))
-        for v in {bisect_right(start, j) - 1 for j in compress(range(1, len(nbr)), inner)}:
-            nbr[start[v] : start[v + 1]] = sorted(nbr[start[v] : start[v + 1]])
-        # Only a vertex of degree above the cap can carry a pair above it.
-        for v in compress(range(n), map(lt, repeat(MAX_MULTIPLICITY), deg)):
-            run = nbr[start[v] : start[v + 1]]
-            for a, b in zip(run, run[MAX_MULTIPLICITY:]):
-                if a == b:
-                    pair = (v, a) if v < a else (a, v)
+        # Sort each run, and name the first vertex with a pair above the
+        # multiplicity cap, at its smallest such neighbor.
+        for v, a, b in zip(range(n), start, islice(start, 1, None)):
+            run = nbr[a:b]
+            run.sort()
+            nbr[a:b] = run
+            for x, y in zip(run, run[MAX_MULTIPLICITY:]):
+                if x == y:
+                    pair = (v, x) if v < x else (x, v)
                     raise ValueError(f"edge {pair} has multiplicity > {MAX_MULTIPLICITY}")
         self._start = start
         self._nbr = nbr
@@ -179,12 +173,8 @@ class Multigraph:
     def edge_list(self) -> list[tuple[int, int]]:
         """Edges expanded by multiplicity, sorted by (min, max) endpoint."""
         start, nbr = self._start, self._nbr
-        out = []
-        for u in range(self.n):
-            for v in nbr[start[u] : start[u + 1]]:
-                if v > u:
-                    out.append((u, v))
-        return out
+        runs = zip(range(self.n), start, islice(start, 1, None))
+        return [(u, v) for u, a, b in runs for v in nbr[a:b] if v > u]
 
     def edge_pairs(self) -> list[tuple[int, int, int]]:
         """Distinct edges as (u, v, multiplicity) with u < v, sorted."""
@@ -291,14 +281,13 @@ def is_connected(g: Multigraph) -> bool:
 
 def _find_claw(g: Multigraph) -> tuple[int, int, int, int] | None:
     start, nbr = g._start, g._nbr
-    # Vertices seen in a triangle. One of degree at most 3 cannot center a
-    # claw: it has at most one triple of distinct neighbors, and that triple
-    # holds the two other corners of the triangle, which are adjacent.
-    in_triangle = [False] * g.n
     if is_cubic(g):
         # The general loop below on runs x <= y <= z of three slots each:
         # a run with a repeat has two distinct neighbors at most, and one of
-        # three distinct neighbors is their only triple.
+        # three distinct neighbors is their only triple. It also skips a vertex
+        # seen in a triangle: that triple holds the two other corners of the
+        # triangle, which are adjacent.
+        in_triangle = [False] * g.n
         runs = iter(nbr)
         for v, x, y, z in zip(range(g.n), runs, runs, runs):
             if in_triangle[v] or x == y or y == z:
@@ -314,26 +303,9 @@ def _find_claw(g: Multigraph) -> tuple[int, int, int, int] | None:
                 return (v, x, y, z)
         return None
     for v in range(g.n):
-        if in_triangle[v] and start[v + 1] - start[v] <= 3:
-            continue
-        run = nbr[start[v] : start[v + 1]]
-        if len(run) < 3:
-            continue
-        if len(run) != 3 or run[0] == run[1] or run[1] == run[2]:
-            run = list(dict.fromkeys(run))
-            if len(run) < 3:
-                # A vertex on a parallel edge has at most two distinct
-                # neighbors in a cubic graph and can never center a claw.
-                continue
-        for a, b, c in combinations(run, 3):
+        for a, b, c in combinations(dict.fromkeys(nbr[start[v] : start[v + 1]]), 3):
             near_a = nbr[start[a] : start[a + 1]]
-            if b in near_a:
-                in_triangle[a] = in_triangle[b] = True
-            elif c in near_a:
-                in_triangle[a] = in_triangle[c] = True
-            elif c in nbr[start[b] : start[b + 1]]:
-                in_triangle[b] = in_triangle[c] = True
-            else:
+            if b not in near_a and c not in near_a and c not in nbr[start[b] : start[b + 1]]:
                 return (v, a, b, c)
     return None
 

@@ -298,6 +298,11 @@ LATE_LINES = {
     "blank-line": "\n7998 7999\n",
     "comment": "# last\n7998 7999\n",
     "no-final-newline": "7998 7999",
+    # int()'s grammar: Unicode decimal digits, "_" between digits, and any
+    # Unicode whitespace between the tokens.
+    "arabic-indic-digit": "799\u0668 7999\n",
+    "underscore": "7_998 7999\n",
+    "em-space": "7998\u20037999\n",
 }
 
 
@@ -428,6 +433,8 @@ def test_parse_accepts_crlf_blank_lines_and_indented_comments():
     text = "\r\n  # prism\r\n6 9\r\n\t\r\n0 1\r\n 0  2 \r\n\t# side\r\n0\t3\r\n1 2\r\n1 4\r\n2 5\r\n3 4\r\n3 5\r\n4 5"
     assert parse_graph(text) == g
     assert parse_graph("1 0\n") == Multigraph(1, [])
+    # A header in Arabic-Indic digits reads as int() reads it.
+    assert parse_graph("\u0662 \u0663\n0 1\n0 1\n0 1\n") == parse_graph("2 3\n0 1\n0 1\n0 1\n") == triple_edge()
 
 
 def _shuffled(edges, rng):
@@ -511,6 +518,37 @@ def test_a_spilling_graph_gets_the_general_layout(where, tmp_path, capsys):
     assert not is_cubic(g) and isinstance(g._start, list)
     assert [g.neighbors(v) for v in range(4)] == _model_neighbors(4, edges)
     assert g == Multigraph(4, edges)
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    assert cli.main(["check", str(path)]) == 2
+    assert "cubic: no\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("change", ["edge-added", "edge-removed"])
+def test_the_general_layout_at_scale(change, tmp_path, capsys):
+    # bench_stages.py's n = 10^4 rung (even k) one edge off cubic, relabelled
+    # and shuffled: the general fill, claw search and loops at scale. An
+    # edge added between vertices 0 and n-1 makes a claw; the graph with its
+    # last edge removed is claw-free.
+    g = generate(BlockRecipe(626, 2082, 625, seed=1))
+    edges = g.edge_list() + [(0, g.n - 1)] if change == "edge-added" else g.edge_list()[:-1]
+    rng = random.Random(3)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    edges = _shuffled([(perm[u], perm[v]) for u, v in edges], rng)
+    text = f"{g.n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    h = parse_graph(text)
+    assert not is_cubic(h)
+    assert [h.neighbors(v) for v in range(h.n)] == _model_neighbors(h.n, edges)
+    assert is_connected(h) == reference_is_connected(h)
+    witness = _find_claw(h)
+    assert witness == reference_find_claw(h)
+    assert (witness is None) == (change == "edge-removed")
+    colors = [0] * (h.n // 2) + [1] * (h.n // 2)
+    rng.shuffle(colors)
+    b = Bisection(tuple(colors))
+    assert mono_stats(h, b) == reference_mono_stats(h, b)
+    assert is_2bisection(h, b) == reference_is_2bisection(h, b)
     path = tmp_path / "g.txt"
     path.write_text(text)
     assert cli.main(["check", str(path)]) == 2

@@ -60,11 +60,3 @@ def test_fixture_report(capsys):
     out = capsys.readouterr().out
     assert out.startswith("name") and "ring3" in out
 
-
-def test_corpus_sweep_small_grid(capsys, monkeypatch):
-    sweep = load_script("corpus_sweep")
-    monkeypatch.setattr(sweep, "MAX_N", 10)
-    monkeypatch.setattr(sweep, "SEEDS", 1)
-    monkeypatch.setattr(sweep, "LIMIT", 10)
-    assert sweep.main() == 0
-    assert " 0 mismatches" in capsys.readouterr().out
