@@ -16,7 +16,10 @@ count k, built deterministically, so runs compare from commit to commit:
 * digon-ring -- a ring of digons (with one diamond for odd k), which
   generate does not build at scale;
 * triangle-tree -- a balanced tree of triangles with trumpet leaves, every
-  edge between them a bridge (one of them through a diamond for odd k).
+  edge between them a bridge (one of them through a diamond for odd k);
+* triangles -- a generated instance of triangles alone (and one diamond
+  for odd k), where the wiring makes a stray trumpet or two: about n/3
+  nodes and every chain empty, the walk's densest input.
 
 The rings have no triangle, so the walk colors them by propagation. The
 stages are the ones `min_bisection` and the CLI run, in their order:
@@ -83,7 +86,7 @@ SEED = 1
 REPEAT = 3
 # Shares of the vertices in diamonds and in digons; triangles take the rest.
 MIX = (0.25, 0.125)
-SHAPES = ("mix", "shuffled", "diamond-ring", "digon-ring", "triangle-tree")
+SHAPES = ("mix", "shuffled", "diamond-ring", "digon-ring", "triangle-tree", "triangles")
 
 # Runs the CLI in a child process and reports the child's own peak RSS.
 CHILD = """
@@ -107,6 +110,12 @@ def recipe(n: int, parity: int) -> BlockRecipe:
     p = round(MIX[1] * n / 2)
     t = (n - 4 * k - 2 * p) // 3
     return BlockRecipe(k, t - t % 2, p, SEED)
+
+
+def triangles_recipe(n: int, parity: int) -> BlockRecipe:
+    """About n vertices in triangles, an even number of them, and k = parity."""
+    t = (n - 4 * parity) // 3
+    return BlockRecipe(parity, t + t % 2, 0, SEED)
 
 
 def ring(diamonds: int, digons: int) -> Multigraph:
@@ -169,6 +178,8 @@ def shape_text(shape: str, n: int, parity: int) -> str:
         return format_graph(ring(parity, (n - 4 * parity) // 2))
     if shape == "triangle-tree":
         return format_graph(triangle_tree(n, parity))
+    if shape == "triangles":
+        return format_graph(generate(triangles_recipe(n, parity)))
     raise ValueError(f"unknown shape {shape!r}")
 
 
@@ -298,8 +309,8 @@ def main() -> int:
                 walls, hwms = zip(*results)
                 cli[cmd] = {"s": round(min(walls), 4), "vmhwm_mb": None if None in hwms else round(max(hwms), 1)}
             row = {"shape": shape, "n": n}
-            if shape in ("mix", "shuffled"):
-                r = recipe(size, parity)
+            if shape in ("mix", "shuffled", "triangles"):
+                r = triangles_recipe(size, parity) if shape == "triangles" else recipe(size, parity)
                 row["recipe"] = [r.k, r.t, r.p, r.seed]
             row |= {
                 "parity": "odd" if parity else "even",

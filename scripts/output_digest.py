@@ -29,8 +29,8 @@ Every command runs in process, through the CLI's own argument parser and
 With --large it digests one more group instead, by hand and outside the
 tests, as it takes about a minute:
 
-* stages-1e5 -- the n ~ 10^5 rungs of bench_stages.py, every shape, both
-  parities of the diamond count.
+* stages-1e5 -- the n ~ 10^5 rungs of bench_stages.py, all six shapes
+  (the triangles-only one included), both parities of the diamond count.
 
 A graph goes in on stdin. `verify` reads two colorings of each graph:
 bisect's document when bisect succeeds, and the first half of the

@@ -49,10 +49,12 @@ def desired_bisection_csp(g: Multigraph, part: StructurePartition) -> Bisection:
     one, so no triangle is monochromatic; the departure color therefore
     flips exactly after each equal chain, so equal chains alternate
     between all-black and all-white ends. Their count has the parity of
-    k, so for even k the colors balance. Each chain's far port is found
-    first, without coloring; the circuit then runs over the nodes alone,
-    from the cover's flat lists, and paints each chain once. Without nodes
-    the graph is one ring of digons and diamonds, painted the same way.
+    k, so for even k the colors balance. The circuit runs over the cover's
+    own lists: a node's ports are its members in role order (a trumpet's
+    apex alone), and the circuit takes a chain when it reaches one of its
+    ports, following it to the far port without coloring it; backing out,
+    it paints each chain once. Without nodes the graph is one ring of
+    digons and diamonds, painted the same way.
 
     For odd k the diamond with the smallest vertex tuple is flipped:
     colored with a, c one color and b, d the other, its ends differ like
@@ -67,7 +69,9 @@ def desired_bisection_csp(g: Multigraph, part: StructurePartition) -> Bisection:
     flip = block_of[min(members[first : first + part.k])[0]] if part.k % 2 else -1
 
     n = g.n
-    PORT = -2  # in colors: -1 until painted, PORT at a port until its chain is
+    # In colors: -1 until painted; PORT at a node's port until the circuit
+    # takes its chain, TAKEN from then until the chain is painted.
+    PORT, TAKEN = -2, -3
     colors = [-1] * n
 
     def paint(p: int, c: int) -> int:
@@ -102,65 +106,56 @@ def desired_bisection_csp(g: Multigraph, part: StructurePartition) -> Bisection:
         if paint(members[0][0], BLACK) != WHITE:
             raise CertificateError("ring of digons and diamonds does not close consistently:\n" + format_graph(g))
     else:
-        # ports[i]: node i's ports as its chains are found, then ~i for its
-        # edge to the dummy; None off the nodes. far[p]: the port at the
-        # other end of p's chain, and far[~i], past the vertices, 0 for node
-        # i's dummy edge; -1 once the walk takes the edge.
+        # free[i]: 1 at a node until the circuit takes its edge to the dummy.
         dummy = len(members)
-        ports: list = [None] * dummy
-        far = [-1] * (n + dummy)
+        free = bytearray(dummy)
         for i, kind in enumerate(kinds):
             if kind == TRIANGLE or kind == TRUMPET:
                 w, x, y = members[i]
                 colors[w], colors[x], colors[y] = (PORT, PORT, PORT) if kind == TRIANGLE else (PORT, BLACK, WHITE)
-                ports[i] = []
-                far[~i] = 0
-        for i, found in enumerate(ports):
-            if found is None:
-                continue
-            for p in members[i]:
-                if colors[p] == PORT and far[p] < 0:
-                    v = ext[p]
-                    while colors[v] == -1:
-                        vs = members[block_of[v]]
-                        v = ext[vs[-1] if v == vs[0] else vs[0]]
-                    far[p], far[v] = v, p
-                    found.append(p)
-                    ports[block_of[v]].append(v)
-            ports[i] = iter(found + [~i])  # no later node ends a chain here
+                free[i] = 1
 
-        # Iterative Hierholzer from the dummy, x the node at the top. An
-        # entry is the port a chain arrived at, or ~x for an arrival at x by
-        # a dummy edge. Entries pop in reverse circuit order, so the circuit
-        # read backwards leaves each popped port along its chain: paint it
-        # then; a chain back to its own node, from the port that found it.
-        ports.append(~i for i in range(dummy))
+        # Iterative Hierholzer from the dummy, x the node at the top. A node
+        # leaves by the chain of its first port still PORT, found by
+        # following the chain to its far port, then by its dummy edge; the
+        # dummy leaves by the edge of the first free node. An entry is the
+        # port a chain arrived at, or ~x for an arrival at x by a dummy
+        # edge. Entries pop in reverse circuit order, so the circuit read
+        # backwards leaves each popped port along its chain: paint it then.
         stack: list[int] = []
         departure = BLACK
+        at = 0  # no node below at is free
         x = dummy
         while True:
-            for s in ports[x]:
-                q = far[s]
-                if q < 0:
-                    continue
-                if s >= 0:
-                    far[s] = far[q] = -1
-                    y = block_of[q]
-                    stack.append(q if y != x else s)
-                else:
-                    far[s] = -1
-                    y = ~s if x == dummy else dummy
-                    stack.append(~y)
-                x = y
-                break
+            step = None
+            if x == dummy:
+                y = free.find(1, at)
+                if y >= 0:
+                    at, free[y], step = y, 0, ~y
             else:
-                if not stack:
-                    break
+                for p in members[x]:
+                    if colors[p] == PORT:
+                        v = ext[p]
+                        while colors[v] == -1:
+                            vs = members[block_of[v]]
+                            v = ext[vs[-1] if v == vs[0] else vs[0]]
+                        colors[p] = colors[v] = TAKEN
+                        step = v
+                        break
+                else:
+                    if free[x]:
+                        free[x], step = 0, ~dummy
+            if step is not None:
+                stack.append(step)
+                x = block_of[step] if step >= 0 else ~step
+            elif stack:
                 top = stack.pop()
                 if top >= 0:
                     departure = 1 - paint(top, departure)
                 top = stack[-1] if stack else ~dummy
                 x = block_of[top] if top >= 0 else ~top
+            else:
+                break
 
     if min(colors) < 0 or 2 * colors.count(BLACK) != n:
         raise CertificateError(

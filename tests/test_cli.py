@@ -625,32 +625,32 @@ OUTPUT_DIGESTS = """
 check-text   fixtures           81230ac4f12e94b46af17ed738b2c2975d493ab5a1ca933f8cab0b7419b1cc9c
 check-json   fixtures           8b9aff8d95f947c9b5d3718a2fdc62cf2934e51f6eed6e0e69cb12785c376489
 partition    fixtures           f993c3be8c088615c679ce2a1498088e4803e1d9de5b24627fa1eb7cf31f9c21
-bisect-json  fixtures           819be355eadd74f0f60ebfca239fa4ae172cfb1019e967422786a4fc31eb7d7e
-bisect-dot   fixtures           11b8d97550afc2bc4e5c3afb1ceed589c4ac06314290ec3bfc053dfc1190f924
+bisect-json  fixtures           c57013fdea6d3650ad50539894bfa2073e853c74815d25e4891945ed5c985249
+bisect-dot   fixtures           74e5c06fc1e3d951a6541c23d68849a75b5e9eb13db6b962aae0fce23b2797e6
 oracle       fixtures           a2998b8abe1c463d0dfae10df5e27df19059d0442b556337ea8148152d1bab1d
 verify-text  fixtures           9c47d40a6e02909d761ba27736a414e1260dec09683ece386c9e4c595fdf7475
 verify-json  fixtures           d3c00f91665f97d1578e95254fbd14bed72abd016a66a6a6566848c2f2b39631
 check-text   fixtures-shuffled  c80d96b370f9726813e59abcd7b0c7f935c5e4caaac50cab1b736d7a721a959a
 check-json   fixtures-shuffled  bfd99ad9e1c3fe03a075a15617845f852324a1a55e4eddac870871639bdbed37
 partition    fixtures-shuffled  3ec9034d7aa84fac8993eede981df021b0a8bdce46519c7818d578af5cd2a1b7
-bisect-json  fixtures-shuffled  7f0af017f1f73b69d59b07d443274a5dee4c2ea72a0b52cb2f2c907bd091385b
-bisect-dot   fixtures-shuffled  c3249ca96893e7f60beed8181f777ee744d2c297f745df1e87856710a27a4997
+bisect-json  fixtures-shuffled  3072c14855fa4cedd49293380e3afe2ad50d80965492cc7d4536e00d43ac860c
+bisect-dot   fixtures-shuffled  11192d6a546d31efbd4e0ced1e01d725d4b8072275346fe2441ce383d3b8a9c1
 oracle       fixtures-shuffled  a2998b8abe1c463d0dfae10df5e27df19059d0442b556337ea8148152d1bab1d
 verify-text  fixtures-shuffled  194b793d9a5ede0732106feee95bb0a3f3521674e7bca24b175ce7d48463bcc9
 verify-json  fixtures-shuffled  29262cbd97aebc3412de74f886ba74dfebff788eaddbb1e85ce5f254d85c6fee
 check-text   corpus             019b820ac0afe32f91acfd0a85fcaf21abee5030856a96d487c33bf4f825fa4f
 check-json   corpus             630824051416f0d2585d6287983df1902b3fc6f43c10fce8c20cfcba835decce
 partition    corpus             88545eb5303fdc9a5f6f0afd48558c7b6971fae2266f3b4423344a5c2ac66c66
-bisect-json  corpus             71175555d8430d2a4665c4f22f772af71de8d25473f27feb79f1c62ffebe0519
-bisect-dot   corpus             9a781616670b60aed440fb171829179e51da16ed2d2b1bb4a45a9309e3fd2b59
+bisect-json  corpus             034c64f2d54a3de427be9c30daa08179642a8a8f07aa6f98a325750626d0d71c
+bisect-dot   corpus             5e1487495435503977398bd38f80192f46ad2a1aa11d4b03184af9df14db8f1b
 oracle       corpus             07b32255e1be2ee7529c96f26b1e5b74bd9b5937674a1b54331f791c329c7375
 verify-text  corpus             5b22aa32ae56c9b4dad6cff925712dc9658379f5f10f53bd6d7b706ae73f0360
 verify-json  corpus             f1cc096e96c95652ca717879bf42bd6a827b7097b8f251c84fadbe759454460e
 check-text   corpus-shuffled    019b820ac0afe32f91acfd0a85fcaf21abee5030856a96d487c33bf4f825fa4f
 check-json   corpus-shuffled    630824051416f0d2585d6287983df1902b3fc6f43c10fce8c20cfcba835decce
 partition    corpus-shuffled    818d5201fd10dae18f1f6e14b245fc5badc05df9735ed5bd086d7b0e87ff69db
-bisect-json  corpus-shuffled    8f62aa3d66adb633d66ef5b6798c60a94ba977e6782fd82cd432fd05c466f68a
-bisect-dot   corpus-shuffled    87f9948862c7adaeaa56e19ab2e9c0092a84ccb6abdf225e704b187f3e14492f
+bisect-json  corpus-shuffled    5ba6b065d68571d6509893873b393fcef41eba91526036c3743131c0aeee4547
+bisect-dot   corpus-shuffled    5ab86a3a8239b646106a6cedf1bc333533c8e7b08eb49fff58d6e7bc79c47cb0
 oracle       corpus-shuffled    07b32255e1be2ee7529c96f26b1e5b74bd9b5937674a1b54331f791c329c7375
 verify-text  corpus-shuffled    9fde62c4f88025343987d4095fb347dd06793bbbc0d02d83dbd1e0ef367a7afa
 verify-json  corpus-shuffled    148cf5250556e552d2e831b4d51b274c581052b2c07fb3d1bb287af4cf1d55ee

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -211,7 +212,7 @@ def test_min_bisection_fixture_values(fixtures):
 # SHA-256 of bytes(colors) of the walk's colorings, in the order of
 # test_walk_colorings_are_pinned. Any change to the walk's order of
 # painting, or to the generator's wiring, shows up here.
-WALK_DIGEST = "e16af5148668b542df64be5d5d978cbb8c984347f669332e2e6316a8ea6c343d"
+WALK_DIGEST = "469c2fd9c23ca5b3878655aa474bf1d6c5a19a1cd043469595af9b4c505b5f46"
 
 
 def test_walk_colorings_are_pinned(corpus):
@@ -219,6 +220,8 @@ def test_walk_colorings_are_pinned(corpus):
     graphs += [ring_of_diamonds(count) for count in range(2, 9)]
     # The two n ~ 10^4 recipes of scripts/bench_stages.py, k even then odd.
     graphs += [generate(BlockRecipe(626, 2082, 625, seed=1)), generate(BlockRecipe(625, 2082, 625, seed=1))]
+    # Its triangles-only pair, k even then odd.
+    graphs += [generate(BlockRecipe(0, 3334, 0, seed=1)), generate(BlockRecipe(1, 3332, 0, seed=1))]
     digest = hashlib.sha256()
     for g in graphs:
         digest.update(bytes(desired_bisection_csp(g, find_blocks(g)).colors))
@@ -254,6 +257,21 @@ def test_the_walk_paints_each_chain_once(corpus):
         chains = (3 * kinds.count("triangle") + kinds.count("trumpet")) // 2
         # Without nodes one call paints the whole ring, unless n == 2.
         assert paint_calls(g) == (chains if chains else int(g.n > 2)), g.edge_list()
+
+
+def test_the_walk_peak_is_a_few_words_per_vertex():
+    # The walk keeps its state in the coloring and one byte per block; the
+    # coloring and the Bisection's tuple are 16 bytes per vertex between them.
+    for recipe in (BlockRecipe(626, 2082, 625, seed=1), BlockRecipe(0, 3334, 0, seed=1)):
+        g = generate(recipe)
+        part = find_blocks(g)
+        tracemalloc.start()
+        try:
+            desired_bisection_csp(g, part)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * g.n, (recipe, peak / g.n)
 
 
 def test_min_bisection_is_desired_but_for_the_flip_on_corpus(corpus):

@@ -30,7 +30,7 @@ def test_bench_stages_pipeline_runs_every_stage(parity):
 
 
 @pytest.mark.parametrize("parity", [0, 1], ids=["even-k", "odd-k"])
-@pytest.mark.parametrize("shape", ["mix", "shuffled", "diamond-ring", "digon-ring", "triangle-tree"])
+@pytest.mark.parametrize("shape", ["mix", "shuffled", "diamond-ring", "digon-ring", "triangle-tree", "triangles"])
 def test_bench_stages_shapes_run_every_stage(shape, parity):
     bench = load_script("bench_stages")
     assert shape in bench.SHAPES
