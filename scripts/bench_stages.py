@@ -26,11 +26,12 @@ stages are the ones `min_bisection` and the CLI run, in their order:
 parse, find_blocks (the cover and the matching between its blocks, which
 checks the class but for connectivity), validate (the class gate's
 connectivity test, a search over the blocks along that matching), cover
-(the block cover's JSON text, what `cubisect partition` prints),
-construct (the Euler walk along the matching), certify (mono_stats and
-is_2bisection), desired (is_desired on the constructed coloring, what
-`cubisect verify` runs beyond certify, reading the matching too) and
-serialize (the bisection JSON, written as `cubisect bisect` writes it).
+(the block cover's JSON pieces, what `cubisect partition` writes, drained
+into a sink that keeps none), construct (the Euler walk along the
+matching), certify (mono_stats and is_2bisection), desired (is_desired on
+the constructed coloring, what `cubisect verify` runs beyond certify,
+reading the matching too) and serialize (the bisection's JSON pieces, as
+`cubisect bisect` writes them, drained the same way).
 Each rung also runs `cubisect check`, `cubisect partition` and `cubisect
 bisect` as child processes.
 
@@ -56,6 +57,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from collections import deque
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -67,7 +69,7 @@ if __name__ == "__main__":
 from cubisect import (  # noqa: E402
     BlockRecipe,
     Multigraph,
-    bisection_to_json,
+    bisection_json_pieces,
     desired_bisection_csp,
     find_blocks,
     format_graph,
@@ -77,7 +79,6 @@ from cubisect import (  # noqa: E402
     mono_stats,
     parse_graph,
 )
-from cubisect.cli import _dict_json  # noqa: E402
 from cubisect.construct import cover_is_connected  # noqa: E402
 
 SIZES = (1000, 10_000, 100_000, 480_000)
@@ -183,6 +184,11 @@ def shape_text(shape: str, n: int, parity: int) -> str:
     raise ValueError(f"unknown shape {shape!r}")
 
 
+def drain(pieces) -> None:
+    """Write pieces of output into a sink that keeps none of them."""
+    deque(pieces, maxlen=0)
+
+
 def pipeline(text: str):
     """The stages in order, each a (name, function of the previous results)."""
     state = {}
@@ -197,7 +203,7 @@ def pipeline(text: str):
         cover_is_connected(state["part"])
 
     def cover():
-        state["part"].json_text()
+        drain(state["part"].json_pieces())
 
     def construct():
         state["bis"] = desired_bisection_csp(state["g"], state["part"])
@@ -211,7 +217,7 @@ def pipeline(text: str):
         is_desired(state["g"], state["part"], state["bis"])
 
     def serialize():
-        _dict_json({"bisection": bisection_to_json(state["bis"], state["stats"])})
+        drain(bisection_json_pieces(state["bis"], state["stats"]))
 
     return [
         ("parse", parse),

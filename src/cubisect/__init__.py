@@ -11,6 +11,7 @@ from .bisection import (
     Bisection,
     MonoStats,
     bisection_from_json,
+    bisection_json_pieces,
     bisection_to_json,
     is_2bisection,
     is_desired,
@@ -74,6 +75,7 @@ __all__ = [
     "Unsatisfiable",
     "ValidationReport",
     "bisection_from_json",
+    "bisection_json_pieces",
     "bisection_to_json",
     "curated_suite",
     "desired_bisection_csp",

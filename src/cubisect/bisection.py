@@ -9,6 +9,7 @@ the black and white shares of epsilon are equal.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import compress, repeat
 
@@ -30,6 +31,9 @@ Violation = tuple[str, tuple[int, ...]]
 
 # Maps a color byte to 1 if it is BLACK and to 0 if it is WHITE.
 _IS_BLACK = bytes.maketrans(bytes((BLACK, WHITE)), b"\1\0")
+# Vertices per range when a color class is written as JSON: a range is a
+# few tens of kB of text.
+PIECE_VERTICES = 4096
 
 
 @dataclass(frozen=True)
@@ -190,6 +194,39 @@ def bisection_to_json(b: Bisection, stats: MonoStats) -> dict:
         "epsilon_black": stats.epsilon_black,
         "epsilon_white": stats.epsilon_white,
     }
+
+
+def bisection_json_pieces(b: Bisection, stats: MonoStats, pad: str = "\n") -> Iterator[str]:
+    """json.dumps(bisection_to_json(b, stats), indent=2), in pieces, for the
+    object nested where pad (a newline and the indent of its braces) sets
+    it. Each color class is written from the coloring's bytes one range of
+    PIECE_VERTICES vertices at a time, so no n-long list of ints or of
+    strings is built."""
+    inner = pad + "  "
+    white = bytes(b.colors)  # WHITE is 1, BLACK 0
+    yield "{" + inner + '"black": '
+    yield from _vertex_list(white.translate(_IS_BLACK), inner)
+    yield "," + inner + '"white": '
+    yield from _vertex_list(white, inner)
+    yield (
+        f',{inner}"epsilon": {stats.epsilon},{inner}"epsilon_black": {stats.epsilon_black},'
+        f'{inner}"epsilon_white": {stats.epsilon_white}{pad}}}'
+    )
+
+
+def _vertex_list(flags: bytes, pad: str) -> Iterator[str]:
+    """The vertices v with flags[v] == 1, in order, as an indented JSON list
+    whose brackets sit at pad's indent."""
+    sep = "," + pad + "  "
+    lead = "[" + pad + "  "
+    for lo in range(0, len(flags), PIECE_VERTICES):
+        hi = lo + PIECE_VERTICES
+        text = sep.join(map(str, compress(range(lo, hi), flags[lo:hi])))
+        if text:  # a range without a vertex of the class adds no separator
+            yield lead
+            yield text
+            lead = sep
+    yield pad + "]" if lead == sep else "[]"
 
 
 def bisection_from_json(obj: dict, n: int) -> Bisection:

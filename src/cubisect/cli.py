@@ -14,9 +14,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable, Iterator
 
-from .bisection import BLACK, bisection_from_json, bisection_to_json, is_2bisection, is_desired, mono_stats
-from .construct import min_bisection, require_cover
+from .bisection import (
+    BLACK,
+    Bisection,
+    bisection_from_json,
+    bisection_json_pieces,
+    is_2bisection,
+    is_desired,
+    mono_stats,
+)
+from .construct import BisectionCertificate, min_bisection, require_cover
 from .errors import GraphFormatError, NotApplicable, TooLarge, Unsatisfiable
 from .generator import BlockRecipe, generate
 from .multigraph import Multigraph, format_graph, parse_graph, validate
@@ -69,29 +78,21 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _dict_json(obj: dict, pad: str = "\n") -> str:
-    """json.dumps(obj, indent=2) for a non-empty dict whose values are JSON
-    scalars, lists of ints or such dicts, written by joining strings: an
-    indented dump runs the pure-Python encoder over every list item."""
-    inner = pad + "  "
-    items = []
-    for key, value in obj.items():
-        if isinstance(value, dict):
-            text = _dict_json(value, inner)
-        elif isinstance(value, list):
-            sep = "," + inner + "  "
-            text = f"[{inner}  {sep.join(map(str, value))}{inner}]" if value else "[]"
-        else:
-            text = json.dumps(value)
-        items.append(f"{json.dumps(key)}: {text}")
-    return "{" + inner + ("," + inner).join(items) + pad + "}"
+def _bisect_json(bis: Bisection, cert: BisectionCertificate) -> Iterator[str]:
+    """`bisect`'s document, json.dumps({"bisection", "certificate"},
+    indent=2) and a newline, in pieces."""
+    yield '{\n  "bisection": '
+    yield from bisection_json_pieces(bis, cert.stats, "\n  ")
+    # Indented JSON holds no raw newline but its indents, so this nests it.
+    certificate = json.dumps(cert.to_json(), indent=2).replace("\n", "\n  ")
+    yield f',\n  "certificate": {certificate}\n}}\n'
 
 
 def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _cmd_check(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_check(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     g = _load_graph(args.graph)
     report = validate(g)
     if args.format == "json":
@@ -107,34 +108,33 @@ def _cmd_check(args: argparse.Namespace) -> tuple[int, str]:
             lines.append("claw witness: " + " ".join(map(str, report.claw_witness)))
         lines.append(f"in-class: {_yesno(report.in_class)}")
         text = "\n".join(lines) + "\n"
-    return (0 if report.in_class else 2), text
+    return (0 if report.in_class else 2), [text]
 
 
-def _cmd_partition(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_partition(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     g = _load_graph(args.graph)
-    return 0, require_cover(g).json_text()
+    return 0, require_cover(g).json_pieces()
 
 
-def _cmd_bisect(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_bisect(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     g = _load_graph(args.graph)
     bis, cert = min_bisection(g)
     if args.format == "dot":
-        return 0, _dot_graph(g, bis.colors)
-    payload = {"bisection": bisection_to_json(bis, cert.stats), "certificate": cert.to_json()}
-    return 0, _dict_json(payload) + "\n"
+        return 0, [_dot_graph(g, bis.colors)]
+    return 0, _bisect_json(bis, cert)
 
 
-def _cmd_oracle(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_oracle(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     g = _load_graph(args.graph)
-    return 0, _json_text(oracle_min(g, limit=args.oracle_limit).to_json())
+    return 0, [_json_text(oracle_min(g, limit=args.oracle_limit).to_json())]
 
 
-def _cmd_gen(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_gen(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     g = generate(BlockRecipe(k=args.k, t=args.t, p=args.p, seed=args.seed))
-    return 0, _dot_graph(g) if args.format == "dot" else format_graph(g)
+    return 0, [_dot_graph(g) if args.format == "dot" else format_graph(g)]
 
 
-def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_verify(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     g = _load_graph(args.graph)
     text = _read_text(args.bisection)
     try:
@@ -178,7 +178,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
             f"epsilon: {stats.epsilon} (black {stats.epsilon_black}, white {stats.epsilon_white})"
         )
         text = "\n".join(lines) + "\n"
-    return 0, text
+    return 0, [text]
 
 
 def _build_parser() -> _Parser:
@@ -248,14 +248,19 @@ def _input_of(args: argparse.Namespace) -> str:
 
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed command, writing its result to stdout or the
-    --output path; returns the process exit code."""
+    --output path; returns the process exit code.
+
+    A handler runs every step that can raise before it returns, and returns
+    its output as pieces that only format, written here one at a time: a
+    command that ends in an error writes nothing to stdout and never opens
+    --output."""
     try:
-        code, text = args.handler(args)
+        code, pieces = args.handler(args)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(pieces)
     except (GraphFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -25,9 +25,10 @@ over the blocks along the matching between them (construct.require_cover).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, groupby, repeat
+from itertools import chain
 
 from .errors import PartitionError
 from .multigraph import Multigraph, is_cubic
@@ -60,6 +61,8 @@ _BLOCK_JSON = {
     + "\n      ]\n    }"
     for kind, size in ((DIAMOND, 4), (TRIANGLE, 3), (TRUMPET, 3), (DIGON, 2))
 }
+# Blocks per piece of the cover's JSON: a piece is a few hundred kB of text.
+PIECE_BLOCKS = 4096
 
 
 @dataclass(frozen=True)
@@ -76,9 +79,9 @@ class StructurePartition:
     ``vertex_to_block`` and ``ext`` are the lists find_blocks filled, not
     copies, so that no second n-long copy is alive; callers only read them.
 
-    ``json_text`` writes it as `cubisect partition` prints it: the blocks
-    in cover order, each with its kind and its vertices in role order,
-    then k, t and p.
+    ``json_pieces`` writes it as `cubisect partition` prints it: the
+    blocks in cover order, each with its kind and its vertices in role
+    order, then k, t and p.
     """
 
     kinds: list[str]
@@ -97,24 +100,23 @@ class StructurePartition:
     def diamond_blocks(self) -> list[Block]:
         return [b for b in self.blocks if b.kind == DIAMOND]
 
-    def json_text(self) -> str:
-        """The cover as JSON indented by two spaces, with a final newline:
-        the bytes json.dumps(..., indent=2) gives for {"blocks": [{"kind",
-        "vertices"}, ...], "k", "t", "p"}, written by joining strings, since
-        an indented dump runs the pure-Python encoder. A cover has at least
-        one block, as a graph has at least one vertex."""
-        # One % per run of equal kinds, over a template of the run's blocks,
-        # and one join at the end: no string per block, no second copy.
-        parts, at = ['{\n  "blocks": [\n    '], 0
-        for kind, group in groupby(self.kinds):
-            size = len(list(group))
-            if at:
-                parts.append(",\n    ")
-            ints = tuple(chain.from_iterable(self.members[at : at + size]))
-            parts.append(",\n    ".join(repeat(_BLOCK_JSON[kind], size)) % ints)
-            at += size
-        parts.append(f'\n  ],\n  "k": {self.k},\n  "t": {self.t},\n  "p": {self.p}\n}}\n')
-        return "".join(parts)
+    def json_pieces(self) -> Iterator[str]:
+        """The cover as JSON indented by two spaces, with a final newline,
+        in pieces: their concatenation is what json.dumps(..., indent=2)
+        gives for {"blocks": [{"kind", "vertices"}, ...], "k", "t", "p"}.
+        An indented dump runs the pure-Python encoder, so each piece of up
+        to PIECE_BLOCKS blocks is one % over a template joined from the
+        blocks' kinds: no string per block and no output-sized text. A
+        cover has at least one block, as a graph has at least one vertex."""
+        kinds, members = self.kinds, self.members
+        yield '{\n  "blocks": [\n    '
+        for lo in range(0, len(kinds), PIECE_BLOCKS):
+            hi = lo + PIECE_BLOCKS
+            if lo:
+                yield ",\n    "
+            template = ",\n    ".join(map(_BLOCK_JSON.__getitem__, kinds[lo:hi]))
+            yield template % tuple(chain.from_iterable(members[lo:hi]))
+        yield f'\n  ],\n  "k": {self.k},\n  "t": {self.t},\n  "p": {self.p}\n}}\n'
 
 
 def find_blocks(g: Multigraph) -> StructurePartition:

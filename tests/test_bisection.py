@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -12,8 +13,10 @@ from cubisect import (
     Bisection,
     GraphFormatError,
     Multigraph,
+    MonoStats,
     NotApplicable,
     bisection_from_json,
+    bisection_json_pieces,
     bisection_to_json,
     find_blocks,
     is_2bisection,
@@ -22,7 +25,7 @@ from cubisect import (
     mono_stats,
     ring_of_diamonds,
 )
-from cubisect.bisection import MONO_IN_TRIANGLE
+from cubisect.bisection import MONO_IN_TRIANGLE, PIECE_VERTICES
 from cubisect.construct import require_cover
 from helpers import reference_is_desired, same_color_component_sizes
 
@@ -140,6 +143,22 @@ def test_json_roundtrip():
     }
     back = bisection_from_json(obj, 6)
     assert back == PRISM_GOOD
+
+
+def test_json_pieces_are_the_indented_dump():
+    stats = MonoStats(7, 3, 4)
+    half = 3 * PIECE_VERTICES // 2
+    rng = random.Random(5)
+    mixed = [BLACK, WHITE] * half
+    rng.shuffle(mixed)
+    colorings = [(), PRISM_GOOD.colors, (WHITE,) * half + (BLACK,) * half, tuple(mixed)]
+    # A class that ends just before a range boundary, and one that begins on it.
+    colorings.append((BLACK,) * PIECE_VERTICES + (WHITE,) * PIECE_VERTICES)
+    for colors in colorings:
+        b = Bisection(colors)
+        assert "".join(bisection_json_pieces(b, stats)) == json.dumps(bisection_to_json(b, stats), indent=2)
+        nested = "".join(bisection_json_pieces(b, stats, "\n  "))
+        assert nested == json.dumps([bisection_to_json(b, stats)], indent=2)[4:-2]
 
 
 @pytest.mark.parametrize(

@@ -5,15 +5,19 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from collections import deque
 
 import pytest
 
+import cubisect.bisection as bisection
 import cubisect.cli as cli
 import cubisect.construct as construct
 import cubisect.structure as structure
 from cubisect import (
     BlockRecipe,
     CertificateError,
+    Multigraph,
     PartitionError,
     bisection_to_json,
     curated_suite,
@@ -24,7 +28,7 @@ from cubisect import (
     ring_of_diamonds,
     validate,
 )
-from helpers import load_script, reference_cover_json
+from helpers import load_script, reference_cover_json, relabel
 
 CURATED = dict(curated_suite())
 
@@ -613,6 +617,65 @@ def test_bisect_json_is_the_indented_dump(tmp_path, capsys, fixtures, corpus):
         assert code == 0 and out == json.dumps(payload, indent=2) + "\n"
         parities.add((g.n > 9000, cert.parity))
     assert parities == {(False, 0), (False, 1), (True, 0), (True, 1)}
+
+
+def test_partition_pieces_meet_at_their_boundaries(tmp_path, capsys):
+    size = structure.PIECE_BLOCKS
+    # bench_stages.py's ring lists its digons first: one piece boundary falls
+    # inside the run of digons and the next where the diamonds begin.
+    ring = load_script("bench_stages").ring(101, 2 * size)
+    kinds = find_blocks(ring).kinds
+    assert kinds[size - 1] == kinds[size] == "digon" and kinds[2 * size - 1 : 2 * size + 1] == ["digon", "diamond"]
+    # Every kind, with runs of one kind and another mixed, in three pieces.
+    for g in (ring, generate(BlockRecipe(3000, 6000, 3000, seed=1))):
+        part = find_blocks(g)
+        assert len(part.kinds) > 2 * size
+        code, out, _ = run_cli(capsys, ["partition", write_graph(tmp_path, g)])
+        assert code == 0 and out == json.dumps(reference_cover_json(part), indent=2) + "\n"
+
+
+def test_bisect_pieces_skip_a_range_without_a_vertex_of_a_class(tmp_path, capsys):
+    size = bisection.PIECE_VERTICES
+    # A ring of an even number of diamonds has one desired coloring up to a
+    # swap. Relabelled with its white vertices first, the first of its three
+    # ranges holds one class only, and the last range the other.
+    g = ring_of_diamonds(3 * size // 4)
+    bis, _ = min_bisection(g)
+    perm = [0] * g.n
+    for new, old in enumerate(bis.white() + bis.black()):
+        perm[old] = new
+    g = relabel(g, perm)
+    bis, cert = min_bisection(g)
+    assert bis.black() in (list(range(g.n // 2)), list(range(g.n // 2, g.n)))
+    code, out, _ = run_cli(capsys, ["bisect", write_graph(tmp_path, g)])
+    payload = {"bisection": bisection_to_json(bis, cert.stats), "certificate": cert.to_json()}
+    assert code == 0 and out == json.dumps(payload, indent=2) + "\n"
+
+
+def test_the_output_writers_hold_one_piece_at_a_time():
+    # bench_stages.py's n = 10^5 mix rung, even k. Drained into a sink that
+    # keeps nothing; the whole cover's text is 3.5 MB, the document's 1.2 MB.
+    g = generate(BlockRecipe(6250, 20832, 6250, seed=1))
+    part = find_blocks(g)
+    bis, cert = min_bisection(g)
+    for name, pieces in (("partition", part.json_pieces), ("bisect", lambda: cli._bisect_json(bis, cert))):
+        tracemalloc.start()
+        try:
+            deque(pieces(), maxlen=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 2**20, (name, peak / 2**20)
+
+
+@pytest.mark.parametrize("command", ["partition", "bisect"])
+@pytest.mark.parametrize("name", ["k4", "q3", "disconnected"])
+def test_a_refused_graph_writes_nothing(tmp_path, capsys, fixtures, command, name):
+    g = Multigraph(4, [(0, 1)] * 3 + [(2, 3)] * 3) if name == "disconnected" else fixtures[name]
+    target = tmp_path / "out.json"
+    code, out, err = run_cli(capsys, [command, write_graph(tmp_path, g), "--output", str(target)])
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    assert not target.exists()
 
 
 # scripts/output_digest.py's table. A change that alters output on purpose
