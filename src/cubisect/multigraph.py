@@ -337,19 +337,22 @@ def _read_edges(text: str) -> tuple[int, list[int]]:
 
     The text is read once, in slices of about _SLICE characters, each cut
     just after a newline, so only one slice's lines and tokens are alive at
-    a time. A slice after the header's that holds nothing but plain `u v`
-    lines (see _plain_ints) is read in bulk, its integers in C; any other
-    slice goes through the line reader, which alone names a bad line. Both
-    accept the same texts and give the same integers. The first fault in
-    reading order raises where it is found: a bad header at once; in a
-    slice, the first line that is not two integers, then the first edge out
-    of range or looped (or n < 1); after the last slice, a missing header,
-    then a line count other than m. A header whose m is more than the text
-    can hold builds no labels and keeps no ends, but its lines are checked
-    all the same, so the same fault is named.
+    a time. When the header's slice up to its first newline holds exactly
+    one line that is neither blank nor a comment, that line is the header,
+    and the rest of the slice is read as a later slice is; otherwise the
+    whole slice goes through the line reader. A slice, or that rest, which
+    holds nothing but plain `u v` lines (see _plain_ints) is read in bulk,
+    its integers in C; any other goes through the line reader, which alone
+    names a bad line. Both accept the same texts and give the same
+    integers. The first fault in reading order raises where it is found: a
+    bad header at once; in a slice, the first line that is not two
+    integers, then the first edge out of range or looped (or n < 1); after
+    the last slice, a missing header, then a line count other than m. A
+    header whose m is more than the text can hold builds no labels and
+    keeps no ends, but its lines are checked all the same, so the same
+    fault is named.
     """
     n = m = None
-    keep = True
     labels: list[int] = []
     ends: list[int] = []
     count = 0
@@ -358,17 +361,19 @@ def _read_edges(text: str) -> tuple[int, list[int]]:
         cut = text.find("\n", at + _SLICE) + 1 or len(text)
         piece = text[at:cut]
         at = cut
+        if n is None:
+            # A first line is split off only when it is short, so that a
+            # long text with CR line ends alone is not split into lines twice.
+            i = piece.find("\n") + 1 or len(piece)
+            head = _lines(piece[:i]) if i <= _SLICE else []
+            if len(head) == 1:
+                n, m = _header(head[0])
+                piece = piece[i:]
         ints = None if n is None else _plain_ints(piece)
         if ints is None:
-            lines = list(filter(None, map(str.strip, piece.splitlines())))
-            if "#" in piece:
-                lines = [ln for ln in lines if not ln.startswith("#")]
+            lines = _lines(piece)
             if n is None and lines:
                 n, m = _header(lines.pop(0))
-                # An edge line and its line end take at least 4 characters,
-                # so a larger m is a wrong line count whatever the lines
-                # hold: their faults are still named, but no labels are built.
-                keep = m <= len(text) // 4
             if not lines:
                 continue
             ints = _line_ints(lines)
@@ -382,7 +387,10 @@ def _read_edges(text: str) -> tuple[int, list[int]]:
         # labels wait for a slice of good lines, so that a huge n in a bad
         # file allocates nothing before the fault is named.
         _check_size(n)
-        if not keep:
+        # An edge line and its line end take at least 4 characters, so a
+        # larger m is a wrong line count whatever the lines hold: their
+        # faults are still named, but no labels are built.
+        if m > len(text) // 4:
             _check_ends(n, ints)
             continue
         labels = labels or list(range(n))
@@ -415,15 +423,26 @@ def _plain_ints(piece: str) -> list[int] | None:
     and a lone " " for a last line without a newline. JSON then refuses an
     empty token, a leading zero and more digits than int() takes (4300 by
     default), so what it accepts is two integers per line, each as int()
-    reads it; the line reader takes whatever it refuses.
+    reads it, but for a last line of one integer and no newline: its digits
+    leave nothing, so it is refused by the odd count it gives. The line
+    reader takes whatever is refused.
     """
     rest = piece.translate(_DIGITS)
     if not rest or rest != " \n" * (len(rest) // 2) + " " * (len(rest) % 2):
         return None
     try:
-        return json.loads("[" + piece.rstrip("\n").translate(_COMMAS) + "]")
+        ints = json.loads("[" + piece.rstrip("\n").translate(_COMMAS) + "]")
     except ValueError:
         return None
+    return None if len(ints) % 2 else ints
+
+
+def _lines(piece: str) -> list[str]:
+    """The lines of piece, stripped, that are neither blank nor comments."""
+    lines = list(filter(None, map(str.strip, piece.splitlines())))
+    if "#" in piece:
+        lines = [ln for ln in lines if not ln.startswith("#")]
+    return lines
 
 
 def _line_ints(lines: list[str]) -> list[int]:

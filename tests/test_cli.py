@@ -353,6 +353,29 @@ def test_malformed_edge_lines_exit_1(tmp_path, capsys, text, message):
     assert err == f"error: {message}\n"
 
 
+RING_TEXT = format_graph(ring_of_diamonds(2000))  # two parser slices
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (RING_TEXT + "5", "expected edge line 'u v', got '5'"),
+        (RING_TEXT[: -len("7998 7999\n")] + "7998", "expected edge line 'u v', got '7998'"),
+        ("2 3\n0 1\n0 1\n0 1\n0", "expected edge line 'u v', got '0'"),
+    ],
+    ids=["later-slice-extra", "later-slice-short", "one-slice"],
+)
+def test_a_lone_last_integer_exits_1(tmp_path, capsys, text, message):
+    # A last line of one integer and no line end leaves nothing when the
+    # bulk read deletes its digits; it is named as the line reader names it.
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, ["check", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_crlf_blank_lines_and_indented_comments_accepted(tmp_path, capsys, fixtures):
     canonical = format_graph(fixtures["prism"])
     head, *edges = canonical.splitlines()

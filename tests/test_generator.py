@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 from cubisect import (
     BlockRecipe,
+    Multigraph,
     Unsatisfiable,
     curated_suite,
     find_blocks,
+    format_graph,
     generate,
     ring_of_diamonds,
     validate,
@@ -70,6 +72,22 @@ def test_ring_builder():
     part = find_blocks(g)
     assert (part.k, part.t, part.p) == (4, 0, 0)
     assert validate(g).is_connected
+
+
+def _edge_by_edge_ring(count):
+    """ring_of_diamonds as Multigraph's constructor builds it, edge by edge."""
+    edges = []
+    for i in range(count):
+        a, b, c, d = range(4 * i, 4 * i + 4)
+        edges += [(a, b), (a, c), (b, c), (b, d), (c, d), (d, 4 * ((i + 1) % count))]
+    return Multigraph(4 * count, edges)
+
+
+def test_ring_builder_matches_the_edge_by_edge_build():
+    for count in [*range(2, 65), 1259]:
+        g, expected = ring_of_diamonds(count), _edge_by_edge_ring(count)
+        assert g == expected, count
+        assert format_graph(g) == format_graph(expected), count
 
 
 def test_curated_suite_names_and_sizes():

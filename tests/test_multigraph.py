@@ -268,22 +268,54 @@ def test_parse_stops_at_a_fault_in_the_first_slice(monkeypatch):
         monkeypatch.setattr(multigraph, name, lambda arg, name=name, reader=reader: read.append(name) or reader(arg))
     with pytest.raises(GraphFormatError, match=r"^edge \(0, 8000\) out of range for n=8000$"):
         parse_graph(_big_with(first="0 8000"))
-    assert read == ["_line_ints"]
+    assert read == ["_plain_ints"]
     read.clear()
     parse_graph(BIG)
-    assert read == ["_line_ints", "_plain_ints"]
+    assert read == ["_plain_ints", "_plain_ints"]
 
 
 def test_parse_reads_plain_later_slices_in_bulk(monkeypatch):
-    # BIG's second slice is all plain "u v" lines, so it takes the bulk
-    # read; the header's slice always takes the line reader.
+    # Both of BIG's slices are plain "u v" lines once the header line is
+    # split off the first, so each takes the bulk read.
     bulk = []
     plain_ints = multigraph._plain_ints
     monkeypatch.setattr(multigraph, "_plain_ints", lambda piece: bulk.append(plain_ints(piece)) or bulk[-1])
     parse_graph(BIG)
-    assert bulk == [list(map(int, BIG[BIG.find("\n", 2**16) + 1 :].split()))]
-    # A text with no line end at all is plain, its last line included.
+    cut = BIG.find("\n", 2**16) + 1
+    assert bulk == [list(map(int, BIG[len("8000 12000\n") : cut].split())), list(map(int, BIG[cut:].split()))]
+    # A text with no line end at all is plain, its last line included, but
+    # for a last line of one integer.
     assert multigraph._plain_ints("10 2\n3 45") == [10, 2, 3, 45]
+    assert multigraph._plain_ints("10 2\n3") is None
+
+
+# First lines that send the header's slice whole to the line reader, and
+# header lines read on their own, each before edge lines that are good,
+# end in a lone integer, or hold a bad token.
+FIRST_LINES = {
+    "comment": "# a ring\n2 3\n",
+    "indented-comment": "  # a ring\n2 3\n",
+    "blank": "\n2 3\n",
+    "whitespace": " \t \n2 3\n",
+    "cr": "2 3\r",
+    "form-feed": "2 3\x0c",
+    "cr-before-comment": "2 3\r# a ring\n",
+    "comment-cr": "# a ring\r2 3\n",
+    "crlf": "2 3\r\n",
+    "bom": "\ufeff2 3\n",
+    "indented": "  2 3 \n",
+    "no-newline": "2 3",
+    "bad-header": "2 x\n",
+}
+EDGE_LINES = {"good": "0 1\n1 0\n0 1\n", "crlf": "0 1\r\n0 1\r\n0 1\r\n", "lone": "0 1\n0 1\n0 1\n0", "token": "0 1\n0 x\n0 1\n", "none": ""}
+
+
+@pytest.mark.parametrize("first", list(FIRST_LINES))
+def test_parse_reads_the_header_slice_as_the_line_reader_does(monkeypatch, first):
+    texts = [FIRST_LINES[first] + edges for edges in EDGE_LINES.values()]
+    bulk = list(map(_outcome, texts))
+    monkeypatch.setattr(multigraph, "_plain_ints", lambda piece: None)
+    assert bulk == list(map(_outcome, texts))
 
 
 # Lines the bulk read refuses, and one it takes, in place of BIG's last
@@ -361,6 +393,8 @@ def test_parse_reads_crlf_and_comments_across_slices():
     g = parse_graph(text)
     assert g == parse_graph(BIG)
     assert format_graph(g) == BIG
+    # CR line ends alone: one slice, as the text holds no newline.
+    assert parse_graph(BIG.replace("\n", "\r")) == g
     # Out of order, and with each edge written both ways round.
     edges = lines[1:]
     random.Random(5).shuffle(edges)
@@ -381,7 +415,8 @@ def test_parse_peak_memory_is_bounded():
     # bench_stages.py's n = 10^4 rung (even k). Reading the whole text at
     # once, with a fresh int per endpoint, peaked at 3.96 MB here; reading
     # it in slices onto shared label objects peaked near 3.2 MB, and
-    # reading the slices after the header's in bulk peaks near 2.0 MB.
+    # reading the slices after the header's in bulk peaks near 2.0 MB, and
+    # reading the rest of the header's slice in bulk too near 1.5 MB.
     text = format_graph(generate(BlockRecipe(626, 2082, 625, seed=1)))
     tracemalloc.start()
     try:
